@@ -51,6 +51,13 @@ impl Cnf {
         &self.clauses
     }
 
+    /// Moves the clauses out and keeps the variable count, so the next
+    /// call returns only the clauses added since this one. Lets an encoder
+    /// stream into an incremental solver without keeping a second copy.
+    pub fn take_clauses(&mut self) -> Vec<Clause> {
+        std::mem::take(&mut self.clauses)
+    }
+
     /// Adds a clause. An empty clause makes the instance trivially UNSAT.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         let clause: Clause = lits.into_iter().collect();

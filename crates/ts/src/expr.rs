@@ -6,6 +6,7 @@
 //! only multiplication is by a constant — matching both what the paper's
 //! models need and what the simplex backend can decide.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -295,57 +296,46 @@ impl Expr {
     /// True iff the expression mentions any next-state variable.
     /// Memoized on node identity, so shared DAGs are walked once.
     pub fn mentions_next(&self) -> bool {
-        fn go(e: &Expr, cache: &mut std::collections::HashMap<*const Expr, bool>) -> bool {
-            let key = e as *const Expr;
-            if let Some(&b) = cache.get(&key) {
-                return b;
-            }
-            let b = match e {
-                Expr::Const(_) | Expr::Var(_) => false,
-                Expr::Next(_) => true,
-                Expr::Not(x) | Expr::Neg(x) | Expr::MulConst(_, x) => go(x, cache),
-                Expr::And(xs) | Expr::Or(xs) | Expr::Add(xs) | Expr::CountTrue(xs) => {
-                    xs.iter().any(|x| go(x, cache))
-                }
-                Expr::Implies(a, b)
-                | Expr::Iff(a, b)
-                | Expr::Eq(a, b)
-                | Expr::Le(a, b)
-                | Expr::Lt(a, b)
-                | Expr::Sub(a, b) => go(a, cache) || go(b, cache),
-                Expr::Ite(c, t, f) => go(c, cache) || go(t, cache) || go(f, cache),
-            };
-            cache.insert(key, b);
-            b
-        }
-        go(self, &mut std::collections::HashMap::new())
+        self.mentions_next_in(&mut HashMap::new())
     }
 
-    /// Collects every variable mentioned (current or next).
-    pub fn variables(&self, out: &mut Vec<VarId>) {
+    /// [`Expr::mentions_next`] against a memo that outlives the call.
+    ///
+    /// The memo maps node addresses to answers, for the nodes held in an
+    /// `Arc` with more than one owner; a node with one owner has a single
+    /// parent and is walked with it. `self` is never entered — its address
+    /// may be a temporary — only nodes inside `self`'s `Arc`s. So the memo
+    /// stays sound for as long as every expression it was used on, or a
+    /// clone of it, is kept alive.
+    pub(crate) fn mentions_next_in(&self, memo: &mut HashMap<usize, bool>) -> bool {
+        fn go<T>(owner: &Arc<T>, e: &Expr, memo: &mut HashMap<usize, bool>) -> bool {
+            if Arc::strong_count(owner) == 1
+                || matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_))
+            {
+                return e.mentions_next_in(memo);
+            }
+            let key = e as *const Expr as usize;
+            if let Some(&b) = memo.get(&key) {
+                return b;
+            }
+            let b = e.mentions_next_in(memo);
+            memo.insert(key, b);
+            b
+        }
         match self {
-            Expr::Const(_) => {}
-            Expr::Var(v) | Expr::Next(v) => out.push(*v),
-            Expr::Not(e) | Expr::Neg(e) | Expr::MulConst(_, e) => e.variables(out),
+            Expr::Const(_) | Expr::Var(_) => false,
+            Expr::Next(_) => true,
+            Expr::Not(x) | Expr::Neg(x) | Expr::MulConst(_, x) => go(x, x, memo),
             Expr::And(xs) | Expr::Or(xs) | Expr::Add(xs) | Expr::CountTrue(xs) => {
-                for e in xs.iter() {
-                    e.variables(out);
-                }
+                xs.iter().any(|x| go(xs, x, memo))
             }
             Expr::Implies(a, b)
             | Expr::Iff(a, b)
             | Expr::Eq(a, b)
             | Expr::Le(a, b)
             | Expr::Lt(a, b)
-            | Expr::Sub(a, b) => {
-                a.variables(out);
-                b.variables(out);
-            }
-            Expr::Ite(c, t, e) => {
-                c.variables(out);
-                t.variables(out);
-                e.variables(out);
-            }
+            | Expr::Sub(a, b) => go(a, a, memo) || go(b, b, memo),
+            Expr::Ite(c, t, f) => go(c, c, memo) || go(t, t, memo) || go(f, f, memo),
         }
     }
 
@@ -353,15 +343,16 @@ impl Expr {
     /// checking well-sortedness along the way. Integer sorts carry the
     /// statically-derived value range.
     pub fn sort(&self, sys: &System) -> Result<Sort, TypeError> {
-        self.sort_rec(sys, &mut std::collections::HashMap::new())
+        self.sort_rec(sys, &mut HashMap::new())
     }
 
     /// Memoized recursion for [`Expr::sort`]: shared DAG nodes are sorted
-    /// once (keyed by node identity).
-    fn sort_rec(
+    /// once (keyed by node identity). The cache must not outlive the
+    /// expressions it was filled from.
+    pub(crate) fn sort_rec(
         &self,
         sys: &System,
-        cache: &mut std::collections::HashMap<*const Expr, Sort>,
+        cache: &mut HashMap<*const Expr, Sort>,
     ) -> Result<Sort, TypeError> {
         let key = self as *const Expr;
         if let Some(s) = cache.get(&key) {
@@ -541,7 +532,7 @@ fn expect_bool(
     sys: &System,
     e: &Expr,
     ctx: &str,
-    cache: &mut std::collections::HashMap<*const Expr, Sort>,
+    cache: &mut HashMap<*const Expr, Sort>,
 ) -> Result<(), TypeError> {
     match e.sort_rec(sys, cache)? {
         Sort::Bool => Ok(()),

@@ -1,5 +1,6 @@
 //! Transition-system declarations and constraint sections.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::expr::{Expr, TypeError};
@@ -61,6 +62,20 @@ pub struct System {
     trans: Vec<Expr>,
     invar: Vec<Expr>,
     fairness: Vec<Expr>,
+    next_memo: NextMemo,
+}
+
+/// [`Expr::mentions_next_in`] answers shared by every `INIT`, `INVAR` and
+/// fairness constraint, so a DAG shared between constraints is walked once
+/// per system. Its keys are addresses of nodes inside the constraints'
+/// `Arc`s, which the system (and every clone of it) keeps alive.
+#[derive(Clone, Default)]
+struct NextMemo(HashMap<usize, bool>);
+
+impl fmt::Debug for NextMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NextMemo({} nodes)", self.0.len())
+    }
 }
 
 impl System {
@@ -154,9 +169,19 @@ impl System {
             .map(|i| VarId(i as u32))
     }
 
+    /// Panics with "`section` must not mention next()" if `e` does.
+    fn assert_current_state(&mut self, e: &Expr, section: &str) {
+        if e.mentions_next_in(&mut self.next_memo.0) {
+            // `e` is dropped while unwinding and its nodes' addresses may
+            // be reused: forget every answer rather than just its own.
+            self.next_memo.0.clear();
+            panic!("{section} must not mention next()");
+        }
+    }
+
     /// Adds an `INIT` constraint (over current-state variables only).
     pub fn add_init(&mut self, e: Expr) {
-        assert!(!e.mentions_next(), "INIT must not mention next()");
+        self.assert_current_state(&e, "INIT");
         self.init.push(e);
     }
 
@@ -167,14 +192,14 @@ impl System {
 
     /// Adds an `INVAR` constraint (holds in every reachable state).
     pub fn add_invar(&mut self, e: Expr) {
-        assert!(!e.mentions_next(), "INVAR must not mention next()");
+        self.assert_current_state(&e, "INVAR");
         self.invar.push(e);
     }
 
     /// Adds a fairness (justice) constraint: infinite paths must satisfy it
     /// infinitely often.
     pub fn add_fairness(&mut self, e: Expr) {
-        assert!(!e.mentions_next(), "fairness must not mention next()");
+        self.assert_current_state(&e, "fairness");
         self.fairness.push(e);
     }
 
@@ -298,6 +323,7 @@ impl System {
     }
 
     /// Type-checks every constraint section; returns the first error.
+    /// One memo serves every section, so a shared DAG is sorted once.
     pub fn check(&self) -> Result<(), TypeError> {
         let sections: [(&str, &[Expr]); 4] = [
             ("INIT", &self.init),
@@ -305,9 +331,10 @@ impl System {
             ("INVAR", &self.invar),
             ("FAIRNESS", &self.fairness),
         ];
+        let mut memo = HashMap::new();
         for (section, exprs) in sections {
             for e in exprs {
-                match e.sort(self) {
+                match e.sort_rec(self, &mut memo) {
                     Ok(Sort::Bool) => {}
                     Ok(s) => {
                         return Err(TypeError(format!(

@@ -12,7 +12,26 @@
 //!   `⌈log₂(cardinality)⌉` bits with a domain constraint `value ≤ card-1`;
 //! * `real` variables are rejected ([`Unroller::new`] fails) — real-sorted
 //!   systems go through the SMT encoder in `verdict-mc` instead.
+//!
+//! Expressions are shared DAGs (the layered reachability expansions of the
+//! fat-tree models especially), and many constraints and queries share one
+//! DAG. So lowering keeps one memo for the life of the unrolling: a shared
+//! boolean node met again at a step where it was lowered before costs one
+//! lookup, whichever call or constraint meets it. A node counts as shared
+//! when the `Arc` holding it has more than one owner; any other node has a
+//! single parent and is lowered inline with it, exactly as an unshared
+//! tree always was. The memo holds the node's defined literal, not its
+//! formula, so no formula DAG outlives the call that built it. Its keys
+//! are node addresses, which is sound only while no keyed node can be
+//! freed: roots are never keyed, every key is a node inside some root's
+//! `Arc`s, and the unroller keeps every root it lowers alive (a clone bumps
+//! reference counts only). The system's own constraints live as long as
+//! the unroller's borrow of the system.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use verdict_logic::cnf::EncodedLit;
 use verdict_logic::{Clause, Formula, Lit, Var};
 
 use crate::bits::{self, FormulaAlg, Num};
@@ -35,8 +54,14 @@ pub struct Unroller<'s> {
     widths: Vec<usize>,
     /// `steps[t][v]` = SAT bit block of variable `v` at step `t`.
     steps: Vec<Vec<Vec<Var>>>,
-    drained: usize,
     use_init: bool,
+    /// `(node address, step)` → what the boolean node was defined as.
+    lowered: HashMap<(usize, usize), EncodedLit>,
+    /// Node address → whether the node mentions `next()`.
+    mentions_next: HashMap<usize, bool>,
+    /// Every expression [`Unroller::lower_bool`] was given, kept alive so
+    /// that no address in the memos is freed and reused.
+    roots: Vec<Expr>,
 }
 
 impl<'s> Unroller<'s> {
@@ -64,8 +89,10 @@ impl<'s> Unroller<'s> {
             enc: verdict_logic::Tseitin::new(),
             widths,
             steps: Vec::new(),
-            drained: 0,
             use_init,
+            lowered: HashMap::new(),
+            mentions_next: HashMap::new(),
+            roots: Vec::new(),
         })
     }
 
@@ -118,22 +145,23 @@ impl<'s> Unroller<'s> {
                 self.enc.assert(&dom);
             }
         }
-        // INVAR at this step.
+        // INVAR at this step. The system's constraints outlive the
+        // unroller and need no keeping alive.
         for inv in self.sys.invar() {
-            let f = self.lower_bool(inv, t);
+            let f = self.lower_root(inv, t);
             self.enc.assert(&f);
         }
         if t == 0 {
             if self.use_init {
                 for init in self.sys.init() {
-                    let f = self.lower_bool(init, 0);
+                    let f = self.lower_root(init, 0);
                     self.enc.assert(&f);
                 }
             }
         } else {
             // TRANS between t-1 and t.
             for tr in self.sys.trans() {
-                let f = self.lower_bool(tr, t - 1);
+                let f = self.lower_root(tr, t - 1);
                 self.enc.assert(&f);
             }
             // Frozen variables keep their value.
@@ -266,51 +294,60 @@ impl<'s> Unroller<'s> {
     }
 
     /// Lowers a boolean expression at step `t` (allocating step `t+1` if
-    /// the expression mentions `next()`).
+    /// the expression mentions `next()`). The unroller keeps a clone of
+    /// `e` for its lifetime; see the [module docs](self).
     pub fn lower_bool(&mut self, e: &Expr, t: usize) -> Formula {
-        if e.mentions_next() {
+        // Kept alive before any node below it enters a memo.
+        self.roots.push(e.clone());
+        if e.mentions_next_in(&mut self.mentions_next) {
             self.extend_to(t + 1);
         } else {
             self.extend_to(t);
         }
-        // Per-call pointer memo: expressions are shared DAGs (layered
-        // reachability expansions especially) and an unmemoized walk is
-        // exponential. The cache must not outlive the call — addresses of
-        // dropped expressions could be reused.
-        let mut seen = std::collections::HashMap::new();
-        self.lower_bool_in(e, t, &mut seen)
+        self.lower_root(e, t)
     }
 
-    fn lower_bool_in(
-        &mut self,
-        e: &Expr,
-        t: usize,
-        seen: &mut std::collections::HashMap<*const Expr, Formula>,
-    ) -> Formula {
-        let key = e as *const Expr;
-        if let Some(hit) = seen.get(&key) {
-            return hit.clone();
+    /// Lowers `e`, an operand held in `owner`. An operand whose `Arc` has
+    /// other owners goes through the memo, defining its literal the first
+    /// time; one with a single owner has one parent, which is lowered now,
+    /// so it is lowered inline exactly as often as that parent.
+    fn lower_operand<T>(&mut self, owner: &Arc<T>, e: &Expr, t: usize) -> Formula {
+        if Arc::strong_count(owner) == 1
+            // Cheaper to lower again than to look up.
+            || matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_) | Expr::Not(_))
+        {
+            return self.lower_root(e, t);
         }
-        let result = self.lower_bool_uncached(e, t, seen);
-        seen.insert(key, result.clone());
-        result
+        let key = (e as *const Expr as usize, t);
+        let lit = match self.lowered.get(&key) {
+            Some(&lit) => lit,
+            None => {
+                let f = self.lower_root(e, t);
+                let lit = self.enc.define(&f);
+                self.lowered.insert(key, lit);
+                lit
+            }
+        };
+        match lit {
+            EncodedLit::True => Formula::tt(),
+            EncodedLit::False => Formula::ff(),
+            EncodedLit::Lit(l) => Formula::lit(l.var(), l.is_positive()),
+        }
     }
 
-    fn lower_bool_uncached(
-        &mut self,
-        e: &Expr,
-        t: usize,
-        seen: &mut std::collections::HashMap<*const Expr, Formula>,
-    ) -> Formula {
+    /// Lowers `e` at step `t` from its operands; `e` itself never enters
+    /// the memo, as its address may be a temporary. Steps `t` (and `t+1`
+    /// if `e` mentions `next()`) must exist.
+    fn lower_root(&mut self, e: &Expr, t: usize) -> Formula {
         match e {
             Expr::Const(Value::Bool(b)) => Formula::constant(*b),
             Expr::Var(v) => self.bool_bit(*v, t),
             Expr::Next(v) => self.bool_bit(*v, t + 1),
-            Expr::Not(a) => self.lower_bool_in(a, t, seen).not(),
+            Expr::Not(a) => self.lower_operand(a, a, t).not(),
             Expr::And(xs) => {
                 let mut acc = Formula::tt();
                 for x in xs.iter() {
-                    let f = self.lower_bool_in(x, t, seen);
+                    let f = self.lower_operand(xs, x, t);
                     acc = Formula::and_pair(acc, f);
                 }
                 acc
@@ -318,44 +355,44 @@ impl<'s> Unroller<'s> {
             Expr::Or(xs) => {
                 let mut acc = Formula::ff();
                 for x in xs.iter() {
-                    let f = self.lower_bool_in(x, t, seen);
+                    let f = self.lower_operand(xs, x, t);
                     acc = Formula::or_pair(acc, f);
                 }
                 acc
             }
             Expr::Implies(a, b) => {
-                let a = self.lower_bool_in(a, t, seen);
-                let b = self.lower_bool_in(b, t, seen);
+                let a = self.lower_operand(a, a, t);
+                let b = self.lower_operand(b, b, t);
                 a.implies(b)
             }
             Expr::Iff(a, b) => {
-                let a = self.lower_bool_in(a, t, seen);
-                let b = self.lower_bool_in(b, t, seen);
+                let a = self.lower_operand(a, a, t);
+                let b = self.lower_operand(b, b, t);
                 a.iff(b)
             }
             Expr::Ite(c, a, b) => {
-                let c = self.lower_bool_in(c, t, seen);
-                let a = self.lower_bool_in(a, t, seen);
-                let b = self.lower_bool_in(b, t, seen);
+                let c = self.lower_operand(c, c, t);
+                let a = self.lower_operand(a, a, t);
+                let b = self.lower_operand(b, b, t);
                 Formula::ite(c, a, b)
             }
             Expr::Eq(a, b) => {
                 let sort = a.sort(self.sys).expect("type-checked system");
                 match sort {
                     Sort::Bool => {
-                        let a = self.lower_bool_in(a, t, seen);
-                        let b = self.lower_bool_in(b, t, seen);
+                        let a = self.lower_operand(a, a, t);
+                        let b = self.lower_operand(b, b, t);
                         a.iff(b)
                     }
                     Sort::Enum(_) => {
-                        let a = self.lower_enum_bits(a, t, seen);
-                        let b = self.lower_enum_bits(b, t, seen);
+                        let a = self.lower_enum_bits(a, t);
+                        let b = self.lower_enum_bits(b, t);
                         let mut alg = FormulaAlg;
                         bits::bits_eq(&mut alg, &a, &b)
                     }
                     Sort::Int { .. } => {
-                        let a = self.lower_num(a, t, seen);
-                        let b = self.lower_num(b, t, seen);
+                        let a = self.lower_num(a, t);
+                        let b = self.lower_num(b, t);
                         let mut alg = FormulaAlg;
                         bits::eq(&mut alg, &a, &b)
                     }
@@ -363,14 +400,14 @@ impl<'s> Unroller<'s> {
                 }
             }
             Expr::Le(a, b) => {
-                let a = self.lower_num(a, t, seen);
-                let b = self.lower_num(b, t, seen);
+                let a = self.lower_num(a, t);
+                let b = self.lower_num(b, t);
                 let mut alg = FormulaAlg;
                 bits::le(&mut alg, &a, &b)
             }
             Expr::Lt(a, b) => {
-                let a = self.lower_num(a, t, seen);
-                let b = self.lower_num(b, t, seen);
+                let a = self.lower_num(a, t);
+                let b = self.lower_num(b, t);
                 let mut alg = FormulaAlg;
                 bits::lt(&mut alg, &a, &b)
             }
@@ -383,12 +420,7 @@ impl<'s> Unroller<'s> {
         Formula::var(self.steps[t][v.index()][0])
     }
 
-    fn lower_num(
-        &mut self,
-        e: &Expr,
-        t: usize,
-        seen: &mut std::collections::HashMap<*const Expr, Formula>,
-    ) -> Num<Formula> {
+    fn lower_num(&mut self, e: &Expr, t: usize) -> Num<Formula> {
         let mut alg = FormulaAlg;
         match e {
             Expr::Const(Value::Int(n)) => bits::num_const(&mut alg, *n),
@@ -413,39 +445,38 @@ impl<'s> Unroller<'s> {
             Expr::Add(xs) => {
                 let mut acc = bits::num_const(&mut alg, 0);
                 for x in xs.iter() {
-                    let n = self.lower_num(x, t, seen);
+                    let n = self.lower_num(x, t);
                     let mut alg = FormulaAlg;
                     acc = bits::add(&mut alg, &acc, &n);
                 }
                 acc
             }
             Expr::Sub(a, b) => {
-                let a = self.lower_num(a, t, seen);
-                let b = self.lower_num(b, t, seen);
+                let a = self.lower_num(a, t);
+                let b = self.lower_num(b, t);
                 let mut alg = FormulaAlg;
                 bits::sub(&mut alg, &a, &b)
             }
             Expr::Neg(a) => {
-                let a = self.lower_num(a, t, seen);
+                let a = self.lower_num(a, t);
                 let mut alg = FormulaAlg;
                 bits::neg(&mut alg, &a)
             }
             Expr::MulConst(k, a) => {
                 assert!(k.is_integer(), "type-checked");
-                let a = self.lower_num(a, t, seen);
+                let a = self.lower_num(a, t);
                 let mut alg = FormulaAlg;
                 bits::mul_const(&mut alg, &a, k.numer() as i64)
             }
             Expr::CountTrue(xs) => {
-                let flags: Vec<Formula> =
-                    xs.iter().map(|x| self.lower_bool_in(x, t, seen)).collect();
+                let flags: Vec<Formula> = xs.iter().map(|x| self.lower_operand(xs, x, t)).collect();
                 let mut alg = FormulaAlg;
                 bits::count_true(&mut alg, &flags)
             }
             Expr::Ite(c, a, b) => {
-                let c = self.lower_bool_in(c, t, seen);
-                let a = self.lower_num(a, t, seen);
-                let b = self.lower_num(b, t, seen);
+                let c = self.lower_operand(c, c, t);
+                let a = self.lower_num(a, t);
+                let b = self.lower_num(b, t);
                 let mut alg = FormulaAlg;
                 bits::mux(&mut alg, &c, &a, &b)
             }
@@ -453,12 +484,7 @@ impl<'s> Unroller<'s> {
         }
     }
 
-    fn lower_enum_bits(
-        &mut self,
-        e: &Expr,
-        t: usize,
-        seen: &mut std::collections::HashMap<*const Expr, Formula>,
-    ) -> Vec<Formula> {
+    fn lower_enum_bits(&mut self, e: &Expr, t: usize) -> Vec<Formula> {
         match e {
             Expr::Const(Value::Enum(sort, idx)) => {
                 let w = sort_width(&Sort::Enum(sort.clone())).expect("finite");
@@ -474,9 +500,9 @@ impl<'s> Unroller<'s> {
                     .collect()
             }
             Expr::Ite(c, a, b) => {
-                let c = self.lower_bool_in(c, t, seen);
-                let a = self.lower_enum_bits(a, t, seen);
-                let b = self.lower_enum_bits(b, t, seen);
+                let c = self.lower_operand(c, c, t);
+                let a = self.lower_enum_bits(a, t);
+                let b = self.lower_enum_bits(b, t);
                 a.into_iter()
                     .zip(b)
                     .map(|(x, y)| Formula::ite(c.clone(), x, y))
@@ -522,11 +548,10 @@ impl<'s> Unroller<'s> {
     }
 
     /// Clauses added since the previous drain (feed these to the solver).
+    /// They are moved out, not copied: the unroller keeps no clauses it
+    /// has handed over.
     pub fn drain_clauses(&mut self) -> Vec<Clause> {
-        let all = self.enc.cnf_mut().clauses();
-        let new: Vec<Clause> = all[self.drained..].to_vec();
-        self.drained = all.len();
-        new
+        self.enc.cnf_mut().take_clauses()
     }
 
     /// Decodes the value of variable `v` at step `t` from a SAT model.
@@ -813,5 +838,140 @@ mod tests {
         assert!(u
             .assumptions_for(&[p], &[Value::Int(1), Value::Int(2)])
             .is_err());
+    }
+
+    /// Four boolean state variables and no constraints.
+    fn four_bools() -> (System, Vec<VarId>) {
+        let mut sys = System::new("bools");
+        let xs = (0..4).map(|i| sys.bool_var(&format!("x{i}"))).collect();
+        (sys, xs)
+    }
+
+    #[test]
+    fn lowering_twice_at_one_step_adds_no_clauses() {
+        let (sys, xs) = four_bools();
+        let x = |i: usize| Expr::var(xs[i]);
+        let shared = Expr::or_pair(x(0), Expr::and_pair(x(1), x(2).not()));
+        let e = Expr::and_pair(shared.clone(), Expr::or_pair(shared, x(3)).iff(x(0)));
+        let mut u = Unroller::new(&sys).unwrap();
+        let f = u.lower_bool(&e, 1);
+        let first = u.literal_for(&f);
+        let (vars, clauses) = drain_all(&mut u);
+        assert!(!clauses.is_empty());
+        let f = u.lower_bool(&e, 1);
+        assert_eq!(u.literal_for(&f), first);
+        assert!(
+            u.drain_clauses().is_empty(),
+            "the second lowering added clauses"
+        );
+        assert_eq!(u.num_sat_vars(), vars);
+    }
+
+    /// A deterministic generator, so the test needs no extra dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) as usize % n
+        }
+    }
+
+    /// A random boolean DAG over `xs` in which each level's subexpression
+    /// has two parents, so the memo keys the nodes inside it.
+    fn random_expr(rng: &mut Lcg, xs: &[VarId], depth: usize) -> Expr {
+        let leaf = Expr::var(xs[rng.below(xs.len())]);
+        if depth == 0 {
+            return if rng.below(2) == 0 { leaf } else { leaf.not() };
+        }
+        let shared = random_expr(rng, xs, depth - 1);
+        let other = random_expr(rng, xs, depth - 1);
+        let mut op = |a: Expr, b: Expr| match rng.below(4) {
+            0 => Expr::and_pair(a, b),
+            1 => Expr::or_pair(a, b),
+            2 => a.iff(b),
+            _ => Expr::ite(leaf.clone(), a, b),
+        };
+        let a = op(shared.clone(), leaf.clone().not());
+        let b = op(other, shared);
+        op(a, b)
+    }
+
+    /// Whether `lit` can be true with the state at step 0 pinned to each
+    /// of the 16 valuations of `xs`.
+    fn truth_table(
+        u: &mut Unroller<'_>,
+        solver: &mut verdict_sat::Solver,
+        xs: &[VarId],
+        lit: Lit,
+    ) -> Vec<bool> {
+        solver.reserve_vars(u.num_sat_vars());
+        for c in u.drain_clauses() {
+            solver.add_clause(c);
+        }
+        (0..16u32)
+            .map(|row| {
+                let mut assumptions: Vec<Lit> = xs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| u.var_bits(x, 0)[0].lit(row >> i & 1 == 1))
+                    .collect();
+                assumptions.push(lit);
+                solver
+                    .solve_with_assumptions(&assumptions)
+                    .model()
+                    .is_some()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memo_stays_sound_when_lowered_expressions_are_dropped() {
+        // Each expression is dropped after it is lowered. An unroller that
+        // keyed its memo on node addresses without keeping the expressions
+        // alive would see the next ones allocated at the freed addresses
+        // and hand a new node the literal of a dead one.
+        let (sys, xs) = four_bools();
+        let mut long = Unroller::new(&sys).unwrap();
+        let mut long_solver = verdict_sat::Solver::new();
+        let mut rng = Lcg(0x5eed);
+        for round in 0..100 {
+            let e = random_expr(&mut rng, &xs, 3);
+            let f = long.lower_bool(&e, 0);
+            let lit = long.literal_for(&f);
+            let got = truth_table(&mut long, &mut long_solver, &xs, lit);
+            let mut fresh = Unroller::new(&sys).unwrap();
+            let f = fresh.lower_bool(&e, 0);
+            let lit = fresh.literal_for(&f);
+            let want = truth_table(&mut fresh, &mut verdict_sat::Solver::new(), &xs, lit);
+            assert_eq!(got, want, "round {round}: {e}");
+        }
+    }
+
+    #[test]
+    fn drain_returns_exactly_the_clauses_added_since_the_last_drain() {
+        let mut sys = System::new("counter");
+        let n = sys.int_var("n", 0, 7);
+        sys.add_init(Expr::var(n).eq(Expr::int(0)));
+        sys.add_trans(Expr::next(n).eq(Expr::var(n).add(Expr::int(1))));
+        let query = Expr::var(n).eq(Expr::int(3));
+
+        let mut u = Unroller::new(&sys).unwrap();
+        u.extend_to(1);
+        let mut pieces = u.drain_clauses();
+        assert!(!pieces.is_empty());
+        assert!(u.drain_clauses().is_empty(), "a drain returned old clauses");
+        u.assert_expr(&query, 3);
+        let second = u.drain_clauses();
+        assert!(!second.is_empty());
+        pieces.extend(second);
+
+        let mut whole = Unroller::new(&sys).unwrap();
+        whole.extend_to(1);
+        whole.assert_expr(&query, 3);
+        assert_eq!(pieces, whole.drain_clauses());
     }
 }

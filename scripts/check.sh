@@ -22,6 +22,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     # baseline — removing or retyping a documented field without bumping
     # STATS_SCHEMA_VERSION fails here.
     cargo test -p verdict-cli --test schema_compat -q
+    # The benchmark (a package of its own) drives `Unroller` and the other
+    # crates' public API directly: a break there fails here, not in a
+    # benchmark run.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 fi
 
 # Certified verdicts on the case-study examples: every counterexample must

@@ -134,15 +134,30 @@ fn kubernetes_issue_models() {
     assert!(inv(EngineKind::Bmc, &m.system, p, &CheckOptions::with_depth(16)).violated());
 }
 
-/// Figure 6's qualitative shape on the smallest instances: falsification
-/// succeeds quickly, verification succeeds for k ≤ 1 and fails for k = 2
-/// on test and fattree4 (the paper's footnote 6).
+/// Figure 6's qualitative shape on the smallest instances: verification
+/// succeeds for k ≤ 1 and fails for k = 2 on test and fattree4 (the
+/// paper's footnote 6); on fattree6, whose front end has three uplinks,
+/// BMC falsifies at k = 3 and verification succeeds for every k ≤ 2.
 #[test]
 fn figure6_shape_smallest() {
-    for topo in [Topology::test_topology(), Topology::fat_tree(4)] {
+    let cases = [
+        (Topology::test_topology(), None, [true, true, false]),
+        (Topology::fat_tree(4), None, [true, true, false]),
+        (Topology::fat_tree(6), Some(3), [true, true, true]),
+    ];
+    for (topo, k_fail, holds) in cases {
         let name = topo.name.clone();
         let model = RolloutModel::build(&RolloutSpec::paper(topo)).expect("valid topology");
-        for (k, expect_holds) in [(0i64, true), (1, true), (2, false)] {
+        if let Some(k) = k_fail {
+            let r = inv(
+                EngineKind::Bmc,
+                &model.pinned(1, k, 1),
+                &model.property,
+                &CheckOptions::with_depth(8),
+            );
+            assert!(r.violated(), "{name} k={k}: {r:.0}");
+        }
+        for (k, expect_holds) in (0i64..).zip(holds) {
             let r = inv(
                 EngineKind::KInduction,
                 &model.pinned(1, k, 1),
