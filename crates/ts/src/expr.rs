@@ -301,17 +301,13 @@ impl Expr {
 
     /// [`Expr::mentions_next`] against a memo that outlives the call.
     ///
-    /// The memo maps node addresses to answers, for the nodes held in an
-    /// `Arc` with more than one owner; a node with one owner has a single
-    /// parent and is walked with it. `self` is never entered — its address
-    /// may be a temporary — only nodes inside `self`'s `Arc`s. So the memo
-    /// stays sound for as long as every expression it was used on, or a
-    /// clone of it, is kept alive.
+    /// The memo maps the address of every non-leaf node inside `self`'s
+    /// `Arc`s to its answer. `self` is never entered — its address may be
+    /// a temporary. So the memo stays sound for as long as every expression
+    /// it was used on, or a clone of it, is kept alive.
     pub(crate) fn mentions_next_in(&self, memo: &mut HashMap<usize, bool>) -> bool {
-        fn go<T>(owner: &Arc<T>, e: &Expr, memo: &mut HashMap<usize, bool>) -> bool {
-            if Arc::strong_count(owner) == 1
-                || matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_))
-            {
+        fn go(e: &Expr, memo: &mut HashMap<usize, bool>) -> bool {
+            if matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_)) {
                 return e.mentions_next_in(memo);
             }
             let key = e as *const Expr as usize;
@@ -325,17 +321,17 @@ impl Expr {
         match self {
             Expr::Const(_) | Expr::Var(_) => false,
             Expr::Next(_) => true,
-            Expr::Not(x) | Expr::Neg(x) | Expr::MulConst(_, x) => go(x, x, memo),
+            Expr::Not(x) | Expr::Neg(x) | Expr::MulConst(_, x) => go(x, memo),
             Expr::And(xs) | Expr::Or(xs) | Expr::Add(xs) | Expr::CountTrue(xs) => {
-                xs.iter().any(|x| go(xs, x, memo))
+                xs.iter().any(|x| go(x, memo))
             }
             Expr::Implies(a, b)
             | Expr::Iff(a, b)
             | Expr::Eq(a, b)
             | Expr::Le(a, b)
             | Expr::Lt(a, b)
-            | Expr::Sub(a, b) => go(a, a, memo) || go(b, b, memo),
-            Expr::Ite(c, t, f) => go(c, c, memo) || go(t, t, memo) || go(f, f, memo),
+            | Expr::Sub(a, b) => go(a, memo) || go(b, memo),
+            Expr::Ite(c, t, f) => go(c, memo) || go(t, memo) || go(f, memo),
         }
     }
 

@@ -68,9 +68,17 @@ pub struct System {
 /// [`Expr::mentions_next_in`] answers shared by every `INIT`, `INVAR` and
 /// fairness constraint, so a DAG shared between constraints is walked once
 /// per system. Its keys are addresses of nodes inside the constraints'
-/// `Arc`s, which the system (and every clone of it) keeps alive.
-#[derive(Clone, Default)]
+/// `Arc`s, which the system keeps alive.
+#[derive(Default)]
 struct NextMemo(HashMap<usize, bool>);
+
+/// A clone starts empty. The memo is only a cache, and copying it would
+/// add its size to every pinned copy of a system.
+impl Clone for NextMemo {
+    fn clone(&self) -> NextMemo {
+        NextMemo::default()
+    }
+}
 
 impl fmt::Debug for NextMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -15,21 +15,21 @@
 //!
 //! Expressions are shared DAGs (the layered reachability expansions of the
 //! fat-tree models especially), and many constraints and queries share one
-//! DAG. So lowering keeps one memo for the life of the unrolling: a shared
-//! boolean node met again at a step where it was lowered before costs one
-//! lookup, whichever call or constraint meets it. A node counts as shared
-//! when the `Arc` holding it has more than one owner; any other node has a
-//! single parent and is lowered inline with it, exactly as an unshared
-//! tree always was. The memo holds the node's defined literal, not its
-//! formula, so no formula DAG outlives the call that built it. Its keys
-//! are node addresses, which is sound only while no keyed node can be
-//! freed: roots are never keyed, every key is a node inside some root's
-//! `Arc`s, and the unroller keeps every root it lowers alive (a clone bumps
-//! reference counts only). The system's own constraints live as long as
-//! the unroller's borrow of the system.
+//! DAG. So lowering keeps one memo for the life of the unrolling: every
+//! non-leaf boolean node is lowered once per step, and meeting it again,
+//! from any call or constraint, costs one lookup. Lowering a boolean DAG
+//! is therefore linear in its number of distinct nodes, whatever its
+//! shape. (Integer and enum terms are not memoized: each use builds its
+//! bit vector again, over the memoized literals of its boolean operands.)
+//! The memo holds the node's defined literal, not its formula, so no formula
+//! DAG outlives the call that built it. Its keys are node addresses, which
+//! is sound only while no keyed node can be freed: roots are never keyed,
+//! every key is a node inside some root's `Arc`s, and the unroller keeps
+//! every root it lowers alive (a clone bumps reference counts only). The
+//! system's own constraints live as long as the unroller's borrow of the
+//! system.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use verdict_logic::cnf::EncodedLit;
 use verdict_logic::{Clause, Formula, Lit, Var};
@@ -307,15 +307,12 @@ impl<'s> Unroller<'s> {
         self.lower_root(e, t)
     }
 
-    /// Lowers `e`, an operand held in `owner`. An operand whose `Arc` has
-    /// other owners goes through the memo, defining its literal the first
-    /// time; one with a single owner has one parent, which is lowered now,
-    /// so it is lowered inline exactly as often as that parent.
-    fn lower_operand<T>(&mut self, owner: &Arc<T>, e: &Expr, t: usize) -> Formula {
-        if Arc::strong_count(owner) == 1
-            // Cheaper to lower again than to look up.
-            || matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_) | Expr::Not(_))
-        {
+    /// Lowers `e`, an operand inside a lowered expression's `Arc`s, at
+    /// step `t`. A non-leaf operand goes through the memo: the first time
+    /// it is met at `t` its formula is defined as a literal, and every later
+    /// meeting costs one lookup.
+    fn lower_operand(&mut self, e: &Expr, t: usize) -> Formula {
+        if matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_)) {
             return self.lower_root(e, t);
         }
         let key = (e as *const Expr as usize, t);
@@ -343,11 +340,11 @@ impl<'s> Unroller<'s> {
             Expr::Const(Value::Bool(b)) => Formula::constant(*b),
             Expr::Var(v) => self.bool_bit(*v, t),
             Expr::Next(v) => self.bool_bit(*v, t + 1),
-            Expr::Not(a) => self.lower_operand(a, a, t).not(),
+            Expr::Not(a) => self.lower_operand(a, t).not(),
             Expr::And(xs) => {
                 let mut acc = Formula::tt();
                 for x in xs.iter() {
-                    let f = self.lower_operand(xs, x, t);
+                    let f = self.lower_operand(x, t);
                     acc = Formula::and_pair(acc, f);
                 }
                 acc
@@ -355,33 +352,33 @@ impl<'s> Unroller<'s> {
             Expr::Or(xs) => {
                 let mut acc = Formula::ff();
                 for x in xs.iter() {
-                    let f = self.lower_operand(xs, x, t);
+                    let f = self.lower_operand(x, t);
                     acc = Formula::or_pair(acc, f);
                 }
                 acc
             }
             Expr::Implies(a, b) => {
-                let a = self.lower_operand(a, a, t);
-                let b = self.lower_operand(b, b, t);
+                let a = self.lower_operand(a, t);
+                let b = self.lower_operand(b, t);
                 a.implies(b)
             }
             Expr::Iff(a, b) => {
-                let a = self.lower_operand(a, a, t);
-                let b = self.lower_operand(b, b, t);
+                let a = self.lower_operand(a, t);
+                let b = self.lower_operand(b, t);
                 a.iff(b)
             }
             Expr::Ite(c, a, b) => {
-                let c = self.lower_operand(c, c, t);
-                let a = self.lower_operand(a, a, t);
-                let b = self.lower_operand(b, b, t);
+                let c = self.lower_operand(c, t);
+                let a = self.lower_operand(a, t);
+                let b = self.lower_operand(b, t);
                 Formula::ite(c, a, b)
             }
             Expr::Eq(a, b) => {
                 let sort = a.sort(self.sys).expect("type-checked system");
                 match sort {
                     Sort::Bool => {
-                        let a = self.lower_operand(a, a, t);
-                        let b = self.lower_operand(b, b, t);
+                        let a = self.lower_operand(a, t);
+                        let b = self.lower_operand(b, t);
                         a.iff(b)
                     }
                     Sort::Enum(_) => {
@@ -469,12 +466,12 @@ impl<'s> Unroller<'s> {
                 bits::mul_const(&mut alg, &a, k.numer() as i64)
             }
             Expr::CountTrue(xs) => {
-                let flags: Vec<Formula> = xs.iter().map(|x| self.lower_operand(xs, x, t)).collect();
+                let flags: Vec<Formula> = xs.iter().map(|x| self.lower_operand(x, t)).collect();
                 let mut alg = FormulaAlg;
                 bits::count_true(&mut alg, &flags)
             }
             Expr::Ite(c, a, b) => {
-                let c = self.lower_operand(c, c, t);
+                let c = self.lower_operand(c, t);
                 let a = self.lower_num(a, t);
                 let b = self.lower_num(b, t);
                 let mut alg = FormulaAlg;
@@ -500,7 +497,7 @@ impl<'s> Unroller<'s> {
                     .collect()
             }
             Expr::Ite(c, a, b) => {
-                let c = self.lower_operand(c, c, t);
+                let c = self.lower_operand(c, t);
                 let a = self.lower_enum_bits(a, t);
                 let b = self.lower_enum_bits(b, t);
                 a.into_iter()
@@ -867,6 +864,39 @@ mod tests {
         assert_eq!(u.num_sat_vars(), vars);
     }
 
+    #[test]
+    fn nested_copies_of_a_shared_node_lower_in_linear_time() {
+        // Each level holds two copies of the level below, as a DSL
+        // `define` used twice does: the copies are distinct nodes sharing
+        // one `Arc`. Lowering every copy afresh would take 2^40 walks.
+        const DEPTH: usize = 40;
+        let (sys, xs) = four_bools();
+        let (a, b) = (Expr::var(xs[0]), Expr::var(xs[1]));
+        // r_i = !(r_{i-1} & a) | !(r_{i-1} & b)
+        let mut r = Expr::or_pair(a.clone(), b.clone());
+        // s_i = count(s_{i-1}, a) + count(s_{i-1}, b) >= 2
+        let mut s = r.clone();
+        for _ in 0..DEPTH {
+            r = Expr::or_pair(
+                Expr::and_pair(r.clone(), a.clone()).not(),
+                Expr::and_pair(r, b.clone()).not(),
+            );
+            s = Expr::count_true([s.clone(), a.clone()])
+                .add(Expr::count_true([s, b.clone()]))
+                .ge(Expr::int(2));
+        }
+        let mut u = Unroller::new(&sys).unwrap();
+        for e in [&r, &s] {
+            let f = u.lower_bool(e, 0);
+            u.assert_formula(&f);
+        }
+        assert!(
+            u.lowered.len() < 10 * DEPTH,
+            "{} memo entries",
+            u.lowered.len()
+        );
+    }
+
     /// A deterministic generator, so the test needs no extra dependency.
     struct Lcg(u64);
 
@@ -881,7 +911,7 @@ mod tests {
     }
 
     /// A random boolean DAG over `xs` in which each level's subexpression
-    /// has two parents, so the memo keys the nodes inside it.
+    /// has two parents, so lowering it hits the memo.
     fn random_expr(rng: &mut Lcg, xs: &[VarId], depth: usize) -> Expr {
         let leaf = Expr::var(xs[rng.below(xs.len())]);
         if depth == 0 {
