@@ -197,6 +197,9 @@ impl std::error::Error for DimacsError {}
 pub struct Tseitin {
     cnf: Cnf,
     cache: HashMap<FormulaKey, Lit>,
+    /// The per-call node memo of [`Tseitin::encode`], kept between calls
+    /// only for its allocation: it is emptied before each call returns.
+    seen: HashMap<usize, EncodedLit>,
 }
 
 /// Structural key for memoization, built from already-encoded literal
@@ -204,6 +207,11 @@ pub struct Tseitin {
 /// negation; `Not` and `Var` need no definitions.)
 #[derive(PartialEq, Eq, Hash)]
 enum FormulaKey {
+    /// Two distinct literals, in ascending order: the common case, kept
+    /// inline so that a lookup allocates nothing.
+    And2(usize, usize),
+    Or2(usize, usize),
+    /// Three or more distinct literals, in ascending order.
     And(Vec<usize>),
     Or(Vec<usize>),
     Xor(usize, usize),
@@ -222,6 +230,7 @@ impl Tseitin {
         Tseitin {
             cnf: Cnf::new(),
             cache: HashMap::new(),
+            seen: HashMap::new(),
         }
     }
 
@@ -240,8 +249,7 @@ impl Tseitin {
     /// literal, or `None` when the formula is a constant (`True` asserts
     /// nothing, `False` adds the empty clause).
     pub fn assert(&mut self, f: &Formula) -> Option<Lit> {
-        let mut seen = HashMap::new();
-        match self.encode(f, &mut seen) {
+        match self.encode_root(f) {
             EncodedLit::True => None,
             EncodedLit::False => {
                 self.cnf.add_clause([]);
@@ -257,8 +265,7 @@ impl Tseitin {
     /// Encodes `f` and returns a literal equivalent to it (without asserting),
     /// or a constant outcome.
     pub fn define(&mut self, f: &Formula) -> EncodedLit {
-        let mut seen = HashMap::new();
-        self.encode(f, &mut seen)
+        self.encode_root(f)
     }
 
     /// Finishes encoding and returns the CNF.
@@ -270,16 +277,28 @@ impl Tseitin {
         self.cnf.fresh_var().positive()
     }
 
+    /// Encodes `f` with an empty node memo and empties it again after.
+    fn encode_root(&mut self, f: &Formula) -> EncodedLit {
+        let mut seen = std::mem::take(&mut self.seen);
+        let result = self.encode(f, &mut seen);
+        seen.clear();
+        self.seen = seen;
+        result
+    }
+
     /// Recursive encoder. `seen` memoizes by node identity *within one
     /// top-level call* (formulas are shared DAGs; without this the walk is
     /// exponential). It must not outlive the call: addresses of dropped
     /// formulas could be reused.
-    fn encode(
-        &mut self,
-        f: &Formula,
-        seen: &mut HashMap<*const Formula, EncodedLit>,
-    ) -> EncodedLit {
-        let key = f as *const Formula;
+    fn encode(&mut self, f: &Formula, seen: &mut HashMap<usize, EncodedLit>) -> EncodedLit {
+        // Leaves and negations cost less to encode again than to look up.
+        match f {
+            Formula::True | Formula::False | Formula::Var(_) | Formula::Not(_) => {
+                return self.encode_uncached(f, seen)
+            }
+            _ => {}
+        }
+        let key = f as *const Formula as usize;
         if let Some(&hit) = seen.get(&key) {
             return hit;
         }
@@ -291,7 +310,7 @@ impl Tseitin {
     fn encode_uncached(
         &mut self,
         f: &Formula,
-        seen: &mut HashMap<*const Formula, EncodedLit>,
+        seen: &mut HashMap<usize, EncodedLit>,
     ) -> EncodedLit {
         match f {
             Formula::True => EncodedLit::True,
@@ -406,7 +425,7 @@ impl Tseitin {
         &mut self,
         parts: &Rc<Vec<Formula>>,
         is_and: bool,
-        seen: &mut HashMap<*const Formula, EncodedLit>,
+        seen: &mut HashMap<usize, EncodedLit>,
     ) -> EncodedLit {
         let mut lits = Vec::with_capacity(parts.len());
         for p in parts.iter() {
@@ -427,16 +446,31 @@ impl Tseitin {
             }
             1 => EncodedLit::Lit(lits[0]),
             _ => {
-                let mut key_ids: Vec<usize> = lits.iter().map(|l| l.index()).collect();
-                key_ids.sort_unstable();
-                key_ids.dedup();
-                if key_ids.len() == 1 {
-                    return EncodedLit::Lit(Lit::from_index(key_ids[0]));
-                }
-                let key = if is_and {
-                    FormulaKey::And(key_ids)
+                let pair = |a: usize, b: usize| {
+                    if a == b {
+                        None
+                    } else if is_and {
+                        Some(FormulaKey::And2(a.min(b), a.max(b)))
+                    } else {
+                        Some(FormulaKey::Or2(a.min(b), a.max(b)))
+                    }
+                };
+                let key = if let [a, b] = lits[..] {
+                    pair(a.index(), b.index())
                 } else {
-                    FormulaKey::Or(key_ids)
+                    let mut key_ids: Vec<usize> = lits.iter().map(|l| l.index()).collect();
+                    key_ids.sort_unstable();
+                    key_ids.dedup();
+                    match key_ids.len() {
+                        1 => None,
+                        2 => pair(key_ids[0], key_ids[1]),
+                        _ if is_and => Some(FormulaKey::And(key_ids)),
+                        _ => Some(FormulaKey::Or(key_ids)),
+                    }
+                };
+                // `None`: every literal is the same one.
+                let Some(key) = key else {
+                    return EncodedLit::Lit(lits[0]);
                 };
                 if let Some(&l) = self.cache.get(&key) {
                     return EncodedLit::Lit(l);

@@ -1,7 +1,8 @@
 //! The CDCL solver implementation.
 //!
-//! One `struct Solver` owns the clause arena, the two-watched-literal
-//! scheme, the trail, and the VSIDS order heap. The public surface is
+//! One `struct Solver` owns the clause arena (every clause's literals
+//! back to back in one vector), the two-watched-literal scheme, the
+//! trail, and the VSIDS order heap. The public surface is
 //! intentionally small: add clauses, solve (optionally under assumptions
 //! and/or with a theory hook), read the model or the failed-assumption core.
 
@@ -32,10 +33,14 @@ impl LBool {
     }
 }
 
-/// A clause stored in the arena.
+/// A clause: where its literals sit in `Solver::lit_arena`, and its
+/// bookkeeping.
 #[derive(Debug)]
 struct ClauseData {
-    lits: Vec<Lit>,
+    /// Offset of the clause's literals in `Solver::lit_arena`.
+    start: usize,
+    /// Number of literals.
+    len: u32,
     learnt: bool,
     /// Literal-block distance at learn time; lower is better.
     lbd: u32,
@@ -228,6 +233,10 @@ pub struct Stats {
 /// A CDCL SAT solver. See the [crate docs](crate) for the feature list.
 pub struct Solver {
     clauses: Vec<ClauseData>,
+    /// Every clause's literals, back to back, in the order the clauses
+    /// were attached, so propagation reads neighbouring clauses from
+    /// neighbouring memory whatever the allocator did meanwhile.
+    lit_arena: Vec<Lit>,
     watches: Vec<Vec<Watcher>>, // indexed by Lit::index()
     assign: Vec<LBool>,         // indexed by Var
     level: Vec<u32>,
@@ -290,6 +299,7 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             clauses: Vec::new(),
+            lit_arena: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -441,25 +451,10 @@ impl Solver {
         if self.proof.is_some() {
             self.log_proof(ProofEvent::Input(c.clone()));
         }
-        // Normalize: sort, dedup, drop false lits, detect tautology/sat.
-        c.sort_unstable();
-        c.dedup();
-        let mut out = Vec::with_capacity(c.len());
-        let mut prev: Option<Lit> = None;
-        for l in c {
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology
-                }
-            }
-            prev = Some(l);
-            match self.lit_value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
-            }
+        if !self.normalize(&mut c) {
+            return true; // tautology, or already satisfied at level 0
         }
-        match out.len() {
+        match c.len() {
             0 => {
                 // All literals false at level 0: the empty clause follows
                 // by unit propagation from the recorded database.
@@ -468,7 +463,7 @@ impl Solver {
                 false
             }
             1 => {
-                self.enqueue(out[0], Reason::Decision);
+                self.enqueue(c[0], Reason::Decision);
                 if self.propagate().is_some() {
                     self.log_proof(ProofEvent::Learn(Vec::new()));
                     self.ok = false;
@@ -476,13 +471,29 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(out, false, 0, false);
+                self.attach_clause(&c, false, 0, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32, shared: bool) -> ClauseId {
+    /// Normalizes a clause in place: sorts and dedups it and drops the
+    /// literals false at level 0. Returns false if it is a tautology or
+    /// already satisfied at level 0, and so needs no storing.
+    fn normalize(&self, c: &mut Vec<Lit>) -> bool {
+        c.sort_unstable();
+        c.dedup();
+        // A literal and its negation sort next to each other.
+        if c.windows(2).any(|w| w[0] == !w[1])
+            || c.iter().any(|&l| self.lit_value(l) == LBool::True)
+        {
+            return false;
+        }
+        c.retain(|&l| self.lit_value(l) == LBool::Undef);
+        true
+    }
+
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32, shared: bool) -> ClauseId {
         debug_assert!(lits.len() >= 2);
         let id = self.clauses.len() as ClauseId;
         let w0 = Watcher {
@@ -495,8 +506,11 @@ impl Solver {
         };
         self.watches[(!lits[0]).index()].push(w0);
         self.watches[(!lits[1]).index()].push(w1);
+        let start = self.lit_arena.len();
+        self.lit_arena.extend_from_slice(lits);
         self.clauses.push(ClauseData {
-            lits,
+            start,
+            len: lits.len() as u32,
             learnt,
             lbd,
             deleted: false,
@@ -504,9 +518,16 @@ impl Solver {
         });
         if learnt {
             self.stats.learnt_clauses += 1;
-            self.stats.learnt_literals += self.clauses[id as usize].lits.len() as u64;
+            self.stats.learnt_literals += lits.len() as u64;
         }
         id
+    }
+
+    /// The literals of clause `cid`.
+    #[inline]
+    fn lits(&self, cid: ClauseId) -> &[Lit] {
+        let c = &self.clauses[cid as usize];
+        &self.lit_arena[c.start..c.start + c.len as usize]
     }
 
     #[inline]
@@ -556,14 +577,13 @@ impl Solver {
                     continue;
                 }
                 // Make sure false_lit is at position 1.
-                {
-                    let lits = &mut self.clauses[cid].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
+                let (start, len) = (self.clauses[cid].start, self.clauses[cid].len as usize);
+                let lits = &mut self.lit_arena[start..start + len];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cid].lits[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 if first != w.blocker && self.lit_value(first) == LBool::True {
                     ws[i].blocker = first;
                     i += 1;
@@ -571,10 +591,10 @@ impl Solver {
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[cid].lits.len() {
-                    let cand = self.clauses[cid].lits[k];
+                for k in 2..len {
+                    let cand = self.lit_arena[start + k];
                     if self.lit_value(cand) != LBool::False {
-                        self.clauses[cid].lits.swap(1, k);
+                        self.lit_arena.swap(start + 1, start + k);
                         self.watches[(!cand).index()].push(Watcher {
                             clause: w.clause,
                             blocker: first,
@@ -633,12 +653,15 @@ impl Solver {
         let current = self.decision_level();
 
         loop {
-            let clause = &self.clauses[confl as usize];
+            let (cstart, clen) = (
+                self.clauses[confl as usize].start,
+                self.clauses[confl as usize].len as usize,
+            );
             let start = usize::from(p.is_some());
             // For the initial conflict clause consider all literals; for
             // reason clauses skip position 0 (the propagated literal).
-            for k in start..clause.lits.len() {
-                let q = clause.lits[k];
+            for k in start..clen {
+                let q = self.lit_arena[cstart + k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -650,12 +673,8 @@ impl Solver {
                 }
             }
             // Bump all variables in the clause.
-            let vars: Vec<Var> = self.clauses[confl as usize]
-                .lits
-                .iter()
-                .map(|l| l.var())
-                .collect();
-            for v in vars {
+            for k in 0..clen {
+                let v = self.lit_arena[cstart + k].var();
                 self.bump_var(v);
             }
             // Find next literal to expand.
@@ -688,7 +707,7 @@ impl Solver {
             if let Reason::Clause(c) = self.reason[v.index()] {
                 // q is redundant if every other literal of its reason is
                 // already seen (i.e. in the learnt clause) or at level 0.
-                for &r in &self.clauses[c as usize].lits {
+                for &r in self.lits(c) {
                     if r.var() == v {
                         continue;
                     }
@@ -772,7 +791,7 @@ impl Solver {
             .iter()
             .enumerate()
             .filter(|(_, c)| c.learnt && !c.deleted && c.lbd > 2)
-            .map(|(i, c)| (c.lbd, c.lits.len(), i as ClauseId))
+            .map(|(i, c)| (c.lbd, c.len as usize, i as ClauseId))
             .collect();
         // Worst first: high LBD, then long.
         candidates.sort_unstable_by(|a, b| b.cmp(a));
@@ -792,7 +811,7 @@ impl Solver {
             }
             self.clauses[cid as usize].deleted = true;
             if self.proof.is_some() {
-                let lits = self.clauses[cid as usize].lits.clone();
+                let lits = self.lits(cid).to_vec();
                 self.log_proof(ProofEvent::Delete(lits));
             }
             removed += 1;
@@ -845,7 +864,8 @@ impl Solver {
                     }
                 }
                 Reason::Clause(c) => {
-                    for &q in &self.clauses[c as usize].lits {
+                    let c = &self.clauses[c as usize];
+                    for &q in &self.lit_arena[c.start..c.start + c.len as usize] {
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -975,24 +995,10 @@ impl Solver {
         for l in &c {
             self.reserve_vars(l.var().0 + 1);
         }
-        c.sort_unstable();
-        c.dedup();
-        let mut out = Vec::with_capacity(c.len());
-        let mut prev: Option<Lit> = None;
-        for l in c {
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology
-                }
-            }
-            prev = Some(l);
-            match self.lit_value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
-            }
+        if !self.normalize(&mut c) {
+            return true;
         }
-        match out.len() {
+        match c.len() {
             0 => {
                 // Every literal false at level 0, yet the clause is a
                 // consequence of our database: the database is unsat.
@@ -1004,14 +1010,14 @@ impl Solver {
                 // A unit import is a level-0 fact put to work right
                 // here; its reason is `Decision`, so count the hit now.
                 self.stats.import_hits += 1;
-                self.enqueue(out[0], Reason::Decision);
+                self.enqueue(c[0], Reason::Decision);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(out, true, msg.lbd, true);
+                self.attach_clause(&c, true, msg.lbd, true);
                 true
             }
         }
@@ -1098,7 +1104,7 @@ impl Solver {
                     }
                     // Re-establish assumptions on next iterations.
                 } else {
-                    let cid = self.attach_clause(learnt, true, lbd, false);
+                    let cid = self.attach_clause(&learnt, true, lbd, false);
                     self.enqueue(asserting, Reason::Clause(cid));
                 }
                 self.decay_activities();
@@ -1208,7 +1214,7 @@ impl Solver {
     /// prefix: walk the implication graph from the conflict clause.
     fn build_core_from_conflict(&mut self, confl: ClauseId) {
         self.conflict_core.clear();
-        let mut stack: Vec<Lit> = self.clauses[confl as usize].lits.clone();
+        let mut stack: Vec<Lit> = self.lits(confl).to_vec();
         let mut visited = vec![false; self.assign.len()];
         while let Some(l) = stack.pop() {
             let v = l.var();
@@ -1222,7 +1228,7 @@ impl Solver {
                     self.conflict_core.push(!l);
                 }
                 Reason::Clause(c) => {
-                    for &q in &self.clauses[c as usize].lits {
+                    for &q in self.lits(c) {
                         if q.var() != v {
                             stack.push(q);
                         }
@@ -1385,6 +1391,27 @@ mod tests {
     fn empty_db_sat() {
         let mut s = Solver::new();
         assert!(s.solve().is_sat());
+    }
+
+    #[test]
+    fn added_clauses_are_normalized_before_storing() {
+        let mut s = Solver::new();
+        assert!(s.add_clause([lit(0, true)]));
+        // A tautology, and a clause the level-0 fact x0 satisfies.
+        assert!(s.add_clause([lit(1, true), lit(2, true), lit(1, false)]));
+        assert!(s.add_clause([lit(2, true), lit(0, true)]));
+        assert_eq!(s.num_clauses(), 0);
+        // ¬x0 is false at level 0 and x1 repeats: stored as x1 ∨ x2.
+        assert!(s.add_clause([lit(2, true), lit(0, false), lit(1, true), lit(1, true)]));
+        assert_eq!(s.num_clauses(), 1);
+        assert_eq!(s.lits(0), [lit(1, true), lit(2, true)]);
+        // Down to one literal: a unit, propagated rather than stored.
+        assert!(s.add_clause([lit(0, false), lit(3, false)]));
+        assert_eq!(s.num_clauses(), 1);
+        let m = s.solve().model().unwrap();
+        assert!(m.value(Var(0)) && !m.value(Var(3)));
+        // Down to no literal: unsatisfiable.
+        assert!(!s.add_clause([lit(0, false)]));
     }
 
     #[test]
