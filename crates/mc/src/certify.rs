@@ -26,13 +26,16 @@
 //! A failed check demotes the verdict to
 //! [`UnknownReason::CertificateRejected`]; the diagnostic (which
 //! constraint failed, at which step, or which query was refuted) goes to
-//! stderr. A wrong answer is withheld, never reported.
+//! stderr. A wrong answer is withheld, never reported. A re-check that
+//! runs out of budget (deadline, stop flag, clause ceiling, watchdog)
+//! rejects nothing: the verdict becomes `Unknown` with the budget's
+//! reason, as it would had the engine's own solve run out.
 
 use std::fmt;
 
 use verdict_logic::Formula;
 use verdict_sat::{check_proof, Solver};
-use verdict_ts::{replay, Expr, Ltl, System, Trace, Unroller};
+use verdict_ts::{replay, Expr, Ltl, System, Trace, TypeError, Unroller};
 
 use crate::engine::EngineKind;
 use crate::result::{Budget, CheckResult, UnknownReason};
@@ -159,11 +162,41 @@ pub fn gate_ltl_cex(sys: &System, phi: &Ltl, trace: Trace) -> CheckResult {
     }
 }
 
+/// Why an independent re-check did not confirm a `Holds` verdict.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecheckError {
+    /// The certificate is wrong; the payload says which query failed and
+    /// how.
+    Rejected(String),
+    /// A re-check solver ran out of budget before deciding; the payload
+    /// is the budget's reason.
+    OutOfBudget(UnknownReason),
+}
+
+impl fmt::Display for RecheckError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecheckError::Rejected(diagnostic) => write!(f, "{diagnostic}"),
+            RecheckError::OutOfBudget(reason) => {
+                write!(f, "certificate check ran out of budget: {reason}")
+            }
+        }
+    }
+}
+
+/// A query that does not type-check certifies nothing.
+impl From<TypeError> for RecheckError {
+    fn from(e: TypeError) -> Self {
+        RecheckError::Rejected(e.to_string())
+    }
+}
+
 /// Engine-side gate for a `Holds` verdict backed by `check`.
-pub(crate) fn gate_holds(what: &str, check: Result<(), String>) -> CheckResult {
+pub(crate) fn gate_holds(what: &str, check: Result<(), RecheckError>) -> CheckResult {
     match check {
         Ok(()) => CheckResult::Holds,
-        Err(e) => reject(what, &e),
+        Err(RecheckError::Rejected(e)) => reject(what, &e),
+        Err(RecheckError::OutOfBudget(reason)) => CheckResult::Unknown(reason),
     }
 }
 
@@ -174,7 +207,11 @@ fn reject(what: &str, diagnostic: &str) -> CheckResult {
 
 /// Runs the accumulated clauses of `unr` through a fresh proof-logged SAT
 /// solver and demands UNSAT with a DRUP proof that checks.
-fn run_unsat_query(unr: &mut Unroller<'_>, budget: &Budget, what: &str) -> Result<(), String> {
+fn run_unsat_query(
+    unr: &mut Unroller<'_>,
+    budget: &Budget,
+    what: &str,
+) -> Result<(), RecheckError> {
     // Fault-injection probe at site `mc.certify`: a panic here models the
     // certifier itself dying mid-re-proof. Callers that contain panics
     // (synthesis workers, portfolio contenders) degrade it to
@@ -186,15 +223,16 @@ fn run_unsat_query(unr: &mut Unroller<'_>, budget: &Budget, what: &str) -> Resul
         solver.add_clause(c);
     }
     match solver.solve_limited(&[], budget.limits()) {
-        verdict_sat::SolveResult::Sat(_) => {
-            Err(format!("{what}: query is satisfiable, certificate refuted"))
-        }
-        verdict_sat::SolveResult::Unknown => {
-            Err(format!("{what}: resource limit during certificate check"))
-        }
+        verdict_sat::SolveResult::Sat(_) => Err(RecheckError::Rejected(format!(
+            "{what}: query is satisfiable, certificate refuted"
+        ))),
+        verdict_sat::SolveResult::Unknown => Err(RecheckError::OutOfBudget(
+            budget.unknown_reason_sat(solver.num_clauses()),
+        )),
         verdict_sat::SolveResult::Unsat => {
             let proof = solver.take_proof();
-            check_proof(&proof).map_err(|e| format!("{what}: UNSAT proof rejected: {e}"))
+            check_proof(&proof)
+                .map_err(|e| RecheckError::Rejected(format!("{what}: UNSAT proof rejected: {e}")))
         }
     }
 }
@@ -202,11 +240,16 @@ fn run_unsat_query(unr: &mut Unroller<'_>, budget: &Budget, what: &str) -> Resul
 /// Independently re-checks a k-induction proof of `G p` at depth `k`:
 /// fresh unrollers, fresh solvers, no incremental state, no assumption
 /// literals — and each UNSAT answer carries a checked DRUP proof.
-pub fn recheck_induction(sys: &System, p: &Expr, k: usize, budget: &Budget) -> Result<(), String> {
+pub fn recheck_induction(
+    sys: &System,
+    p: &Expr,
+    k: usize,
+    budget: &Budget,
+) -> Result<(), RecheckError> {
     let bad = p.clone().not();
     // Base: no violation within the first k+1 steps.
     {
-        let mut unr = Unroller::new(sys).map_err(|e| e.to_string())?;
+        let mut unr = Unroller::new(sys)?;
         unr.extend_to(k);
         let hits: Vec<Formula> = (0..=k).map(|i| unr.lower_bool(&bad, i)).collect();
         unr.assert_formula(&Formula::or_all(hits));
@@ -216,7 +259,7 @@ pub fn recheck_induction(sys: &System, p: &Expr, k: usize, budget: &Budget) -> R
     // last. Asserts the full pairwise distinctness the incremental prover
     // accumulated over its rounds.
     {
-        let mut unr = Unroller::new_free(sys).map_err(|e| e.to_string())?;
+        let mut unr = Unroller::new_free(sys)?;
         unr.extend_to(k);
         for i in 0..k {
             unr.assert_expr(p, i);
@@ -241,17 +284,17 @@ pub fn check_inductive_invariant(
     p: &Expr,
     inv: &Expr,
     budget: &Budget,
-) -> Result<(), String> {
+) -> Result<(), RecheckError> {
     let not_inv = inv.clone().not();
     // Initiation: INIT ∧ ¬inv unsatisfiable.
     {
-        let mut unr = Unroller::new(sys).map_err(|e| e.to_string())?;
+        let mut unr = Unroller::new(sys)?;
         unr.assert_expr(&not_inv, 0);
         run_unsat_query(&mut unr, budget, "invariant initiation")?;
     }
     // Consecution: inv ∧ TRANS ∧ ¬inv' unsatisfiable.
     {
-        let mut unr = Unroller::new_free(sys).map_err(|e| e.to_string())?;
+        let mut unr = Unroller::new_free(sys)?;
         unr.extend_to(1);
         unr.assert_expr(inv, 0);
         unr.assert_expr(&not_inv, 1);
@@ -259,7 +302,7 @@ pub fn check_inductive_invariant(
     }
     // Strength: inv ∧ ¬p unsatisfiable.
     {
-        let mut unr = Unroller::new_free(sys).map_err(|e| e.to_string())?;
+        let mut unr = Unroller::new_free(sys)?;
         unr.assert_expr(inv, 0);
         unr.assert_expr(&p.clone().not(), 0);
         run_unsat_query(&mut unr, budget, "invariant strength")?;
@@ -298,8 +341,10 @@ mod tests {
         let budget = Budget::new(&CheckOptions::default());
         // n < 3 is false — the base case is satisfiable at k = 3.
         let r = recheck_induction(&sys, &Expr::var(n).lt(Expr::int(3)), 3, &budget);
-        assert!(r.is_err(), "{r:?}");
-        assert!(r.unwrap_err().contains("satisfiable"));
+        assert!(
+            matches!(&r, Err(RecheckError::Rejected(e)) if e.contains("satisfiable")),
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -312,7 +357,7 @@ mod tests {
         // n <= 2 is not closed under the transition relation.
         let weak = Expr::var(n).le(Expr::int(2));
         let err = check_inductive_invariant(&sys, &p, &weak, &budget).unwrap_err();
-        assert!(err.contains("consecution"), "{err}");
+        assert!(err.to_string().contains("consecution"), "{err}");
     }
 
     #[test]

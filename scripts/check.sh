@@ -26,13 +26,15 @@ if [[ "${1:-}" != "--quick" ]]; then
     # crates' public API directly: a break there fails here, not in a
     # benchmark run.
     cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+    # The DRUP checker against its reference scanner on a proof with
+    # database-reduction deletions: too slow for the unoptimized suite.
+    cargo test --release -p verdict-sat --lib -q proof::
 fi
 
 # Certified verdicts on the case-study examples: every counterexample must
-# replay through the reference interpreter and every proof must survive
-# its independent re-check — any certificate rejection fails the gate.
-# (Exit 2 = property violated, which the examples are; only exit 1 is an
-# error.)
+# replay through the reference interpreter — any certificate rejection
+# fails the gate. (Exit 2 = property violated, which the examples are;
+# only exit 1 is an error.)
 for model in examples/models/step_counter.vd examples/models/leaky_bucket.vd; do
     status=0
     out=$(./target/release/verdict check "$model" --certify --json) || status=$?
@@ -46,6 +48,45 @@ for model in examples/models/step_counter.vd examples/models/leaky_bucket.vd; do
         exit 1
     fi
 done
+
+# Certified proofs: a model whose invariant holds must come back safe with
+# its proof re-checked, by k-induction (fresh solvers, DRUP proofs) and by
+# BDD (reachable set re-checked as an inductive invariant).
+holds_dir=$(mktemp -d)
+holds_model="$holds_dir/capped.vd"
+cat >"$holds_model" <<'VD'
+system capped {
+    var n : 0..10;
+    init n = 0;
+    trans next(n) = if n < 5 then n + 1 else n;
+    invariant capped: n <= 5;
+}
+VD
+for engine_cert in "kind:k-induction re-check" "bdd:inductive-invariant re-check"; do
+    engine=${engine_cert%%:*}
+    status=0
+    out=$(./target/release/verdict check "$holds_model" --certify --json --engine "$engine") \
+        || status=$?
+    if [[ $status != 0 ]] || ! grep -q "\"certificate\":\"verified (${engine_cert#*:})\"" <<<"$out"; then
+        echo "check.sh: certified holding model not verified by $engine (exit $status)" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
+# Running out of budget inside a certificate check is an honest Unknown,
+# never a rejected certificate: exhaust each of the run's SAT solves in
+# turn, the re-proof's included.
+for hit in 1 2 3 4 5 6 7 8; do
+    out=$(./target/release/verdict check "$holds_model" --certify --json --engine kind \
+        --fault "sat.solve:exhaust:$hit" 2>&1) || true
+    if ! grep -qE '"verdict":"(safe|unknown)"' <<<"$out" \
+        || grep -qE 'certificate rejected|"certificate":"rejected"' <<<"$out"; then
+        echo "check.sh: exhausted solve $hit reported as a rejected certificate" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
+rm -rf "$holds_dir"
 
 # Observability smoke: --stats --json must emit the versioned schema-2
 # document with nonzero counters and per-depth timings, and --trace must

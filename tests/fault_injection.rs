@@ -299,6 +299,70 @@ fn solo_engine_faults_are_contained() {
     }
 }
 
+/// A counter that stops at 5: `n <= 5` holds, and k-induction proves it
+/// with a step query that needs search.
+fn capped() -> (System, Expr) {
+    let mut sys = System::new("capped");
+    let n = sys.int_var("n", 0, 10);
+    sys.add_init(Expr::var(n).eq(Expr::int(0)));
+    sys.add_trans(Expr::next(n).eq(Expr::ite(
+        Expr::var(n).lt(Expr::int(5)),
+        Expr::var(n).add(Expr::int(1)),
+        Expr::var(n),
+    )));
+    let prop = Expr::var(n).le(Expr::int(5));
+    (sys, prop)
+}
+
+/// Exhausts each `sat.solve` probe of `check` in turn, from the first
+/// until one past the last, and returns how many probes the run has.
+/// Every faulted run must end in `Unknown(ResourceExhausted)` and the
+/// unfaulted one must hold.
+fn exhaust_each_solve(what: &str, check: impl Fn() -> CheckResult) -> u64 {
+    for hit in 1..=64 {
+        let fired_before = fault::fired_count();
+        fault::install(&FaultPlan::single("sat.solve", FaultKind::Exhaust, hit));
+        let got = check();
+        fault::clear();
+        if fault::fired_count() == fired_before {
+            assert!(got.holds(), "{what}, hit {hit}: {got}");
+            return hit - 1;
+        }
+        assert_eq!(
+            reason_of(&got),
+            Some(UnknownReason::ResourceExhausted),
+            "{what}, hit {hit}: {got}"
+        );
+    }
+    panic!("{what}: more than 64 sat.solve probes");
+}
+
+/// Running out of budget inside certification is not a rejected
+/// certificate: exhausting any `sat.solve` probe of a certified
+/// k-induction run, the engine's own solves and the fresh re-proof
+/// alike, must end in `Unknown(ResourceExhausted)`.
+#[test]
+fn certification_budget_exhaustion_is_not_a_rejection() {
+    let _guard = fault::test_lock();
+    fault::clear();
+    let (sys, prop) = capped();
+    let check = |opts: CheckOptions| {
+        Verifier::new(&sys)
+            .engine(EngineKind::KInduction)
+            .options(opts)
+            .check_invariant(&prop)
+            .expect("contained fault is not an error")
+    };
+    let engine = exhaust_each_solve("uncertified", || check(CheckOptions::with_depth(10)));
+    let certified = exhaust_each_solve("certified", || {
+        check(CheckOptions::with_depth(10).with_certify())
+    });
+    assert!(
+        certified > engine,
+        "no probe inside the re-proof ({certified} vs {engine})"
+    );
+}
+
 /// A journal whose backing file starts failing mid-sweep must disable
 /// itself (losing resumability, not correctness): the sweep still
 /// completes with the reference verdicts.
