@@ -5,6 +5,23 @@
 //! trail, and the VSIDS order heap. The public surface is
 //! intentionally small: add clauses, solve (optionally under assumptions
 //! and/or with a theory hook), read the model or the failed-assumption core.
+//!
+//! The inner loop keeps each propagated literal and each decision cheap;
+//! none of the following changes which ones the search makes:
+//!
+//! * a two-literal clause that is never deleted propagates from its
+//!   watcher alone (the blocker is the other literal), without reading
+//!   the clause or the arena;
+//! * every literal has its own value slot, so a value is one load;
+//! * the decision heap keeps a copy of each variable's activity next to
+//!   it, and skips the assigned entries that decide nothing.
+//!
+//! The heap pops by a total order (activity, then the smaller index), so
+//! which assigned entries it still holds does not matter. It is rebuilt
+//! after an activity rescale, which can round two activities to one value
+//! and so hand their order to the index. A binary conflict leaves its
+//! literals in the arena in the order the general path would, so conflict
+//! analysis learns the same clauses.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,16 +38,6 @@ enum LBool {
     True,
     False,
     Undef,
-}
-
-impl LBool {
-    fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
 }
 
 /// A clause: where its literals sit in `Solver::lit_arena`, and its
@@ -50,14 +57,42 @@ struct ClauseData {
     shared: bool,
 }
 
+impl ClauseData {
+    /// True iff database reduction may delete the clause: only learnt
+    /// clauses above glue level are candidates.
+    fn deletable(&self) -> bool {
+        self.learnt && self.lbd > 2
+    }
+}
+
 type ClauseId = u32;
+
+/// Set in [`Watcher::tagged`] for a two-literal clause that is never
+/// deleted.
+const BINARY: u32 = 1 << 31;
 
 /// Watcher entry: the watched clause plus a "blocker" literal whose
 /// satisfaction lets propagation skip the clause without touching it.
+/// A binary watcher's blocker is the clause's other literal, so
+/// propagation settles the clause from the watcher alone.
 #[derive(Clone, Copy)]
 struct Watcher {
-    clause: ClauseId,
+    /// The clause id, with [`BINARY`] set for a two-literal clause that
+    /// is never deleted.
+    tagged: u32,
     blocker: Lit,
+}
+
+impl Watcher {
+    #[inline]
+    fn clause(self) -> ClauseId {
+        self.tagged & !BINARY
+    }
+
+    #[inline]
+    fn binary(self) -> bool {
+        self.tagged & BINARY != 0
+    }
 }
 
 /// Reason for an assignment: a clause, a decision, or a theory/assumption.
@@ -238,7 +273,9 @@ pub struct Solver {
     /// neighbouring memory whatever the allocator did meanwhile.
     lit_arena: Vec<Lit>,
     watches: Vec<Vec<Watcher>>, // indexed by Lit::index()
-    assign: Vec<LBool>,         // indexed by Var
+    /// The value of every literal, indexed by `Lit::index()`: `enqueue`
+    /// sets a literal and its negation together.
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Reason>,
     trail: Vec<Lit>,
@@ -289,6 +326,7 @@ impl Default for Solver {
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
+const RESCALE_FACTOR: f64 = 1e-100;
 const LUBY_UNIT: u64 = 128;
 /// Cap on clauses parked while a sharing peer's prefix runs ahead of
 /// ours; overflow is rejected (sharing is best-effort, never a leak).
@@ -301,7 +339,7 @@ impl Solver {
             clauses: Vec::new(),
             lit_arena: Vec::new(),
             watches: Vec::new(),
-            assign: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -404,21 +442,22 @@ impl Solver {
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> u32 {
-        self.assign.len() as u32
+        self.level.len() as u32
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
+        let v = Var(self.num_vars());
         self.reserve_vars(v.0 + 1);
         v
     }
 
     /// Ensures variables `0..n` exist.
     pub fn reserve_vars(&mut self, n: u32) {
-        while (self.assign.len() as u32) < n {
-            let v = Var(self.assign.len() as u32);
-            self.assign.push(LBool::Undef);
+        while self.num_vars() < n {
+            let v = Var(self.num_vars());
+            self.values.push(LBool::Undef);
+            self.values.push(LBool::Undef);
             self.level.push(0);
             self.reason.push(Reason::Decision);
             self.activity.push(0.0);
@@ -426,7 +465,7 @@ impl Solver {
             self.seen.push(false);
             self.watches.push(Vec::new());
             self.watches.push(Vec::new());
-            self.heap.insert(v, &self.activity);
+            self.heap.insert(v, 0.0);
         }
     }
 
@@ -496,26 +535,32 @@ impl Solver {
     fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32, shared: bool) -> ClauseId {
         debug_assert!(lits.len() >= 2);
         let id = self.clauses.len() as ClauseId;
-        let w0 = Watcher {
-            clause: id,
-            blocker: lits[1],
-        };
-        let w1 = Watcher {
-            clause: id,
-            blocker: lits[0],
-        };
-        self.watches[(!lits[0]).index()].push(w0);
-        self.watches[(!lits[1]).index()].push(w1);
-        let start = self.lit_arena.len();
-        self.lit_arena.extend_from_slice(lits);
-        self.clauses.push(ClauseData {
-            start,
+        debug_assert!(id < BINARY, "clause ids overflow the watcher tag");
+        let data = ClauseData {
+            start: self.lit_arena.len(),
             len: lits.len() as u32,
             learnt,
             lbd,
             deleted: false,
             shared,
-        });
+        };
+        let tagged = if lits.len() == 2 && !data.deletable() {
+            id | BINARY
+        } else {
+            id
+        };
+        let w0 = Watcher {
+            tagged,
+            blocker: lits[1],
+        };
+        let w1 = Watcher {
+            tagged,
+            blocker: lits[0],
+        };
+        self.watches[(!lits[0]).index()].push(w0);
+        self.watches[(!lits[1]).index()].push(w1);
+        self.lit_arena.extend_from_slice(lits);
+        self.clauses.push(data);
         if learnt {
             self.stats.learnt_clauses += 1;
             self.stats.learnt_literals += lits.len() as u64;
@@ -532,11 +577,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        match self.assign[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(l.is_positive()),
-            LBool::False => LBool::from_bool(!l.is_positive()),
-        }
+        self.values[l.index()]
     }
 
     #[inline]
@@ -546,10 +587,11 @@ impl Solver {
 
     fn enqueue(&mut self, l: Lit, reason: Reason) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
-        let v = l.var();
-        self.assign[v.index()] = LBool::from_bool(l.is_positive());
-        self.level[v.index()] = self.decision_level();
-        self.reason[v.index()] = reason;
+        self.values[l.index()] = LBool::True;
+        self.values[(!l).index()] = LBool::False;
+        let v = l.var().index();
+        self.level[v] = self.decision_level();
+        self.reason[v] = reason;
         self.trail.push(l);
     }
 
@@ -567,11 +609,34 @@ impl Solver {
             while i < ws.len() {
                 let w = ws[i];
                 // Blocker short-circuit.
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = self.lit_value(w.blocker);
+                if blocker == LBool::True {
                     i += 1;
                     continue;
                 }
-                let cid = w.clause as usize;
+                let cid = w.clause() as usize;
+                if w.binary() {
+                    // The blocker is the other literal: the clause is unit
+                    // or conflicting, and neither it nor the arena is read
+                    // (it is never deleted).
+                    if self.sharing.is_some() && self.clauses[cid].shared {
+                        self.stats.import_hits += 1;
+                    }
+                    if blocker == LBool::False {
+                        // Conflict: leave the pair in the arena as the
+                        // general path orders it, other literal first,
+                        // since that is the order `analyze` reads.
+                        let start = self.clauses[cid].start;
+                        self.lit_arena[start] = w.blocker;
+                        self.lit_arena[start + 1] = false_lit;
+                        self.watches[p.index()] = ws;
+                        self.qhead = self.trail.len();
+                        return Some(w.clause());
+                    }
+                    self.enqueue(w.blocker, Reason::Clause(w.clause()));
+                    i += 1;
+                    continue;
+                }
                 if self.clauses[cid].deleted {
                     ws.swap_remove(i);
                     continue;
@@ -596,7 +661,7 @@ impl Solver {
                     if self.lit_value(cand) != LBool::False {
                         self.lit_arena.swap(start + 1, start + k);
                         self.watches[(!cand).index()].push(Watcher {
-                            clause: w.clause,
+                            tagged: w.tagged,
                             blocker: first,
                         });
                         ws.swap_remove(i);
@@ -617,9 +682,9 @@ impl Solver {
                     // added to `watches[p]` while we held it) and stop.
                     self.watches[p.index()] = ws;
                     self.qhead = self.trail.len();
-                    return Some(w.clause);
+                    return Some(w.clause());
                 }
-                self.enqueue(first, Reason::Clause(w.clause));
+                self.enqueue(first, Reason::Clause(w.clause()));
                 i += 1;
             }
             self.watches[p.index()] = ws;
@@ -631,11 +696,12 @@ impl Solver {
         self.activity[v.index()] += self.var_inc;
         if self.activity[v.index()] > RESCALE_LIMIT {
             for a in &mut self.activity {
-                *a *= 1e-100;
+                *a *= RESCALE_FACTOR;
             }
-            self.var_inc *= 1e-100;
+            self.var_inc *= RESCALE_FACTOR;
+            self.heap.rescale(RESCALE_FACTOR);
         }
-        self.heap.update(v, &self.activity);
+        self.heap.update(v, self.activity[v.index()]);
     }
 
     fn decay_activities(&mut self) {
@@ -657,12 +723,21 @@ impl Solver {
                 self.clauses[confl as usize].start,
                 self.clauses[confl as usize].len as usize,
             );
-            let start = usize::from(p.is_some());
-            // For the initial conflict clause consider all literals; for
-            // reason clauses skip position 0 (the propagated literal).
-            for k in start..clen {
+            // For the initial conflict clause consider all literals; a
+            // reason clause's propagated literal is skipped by variable (a
+            // binary clause holds its two in either order) and bumped
+            // first. Bumps are in clause order otherwise: a rescale
+            // between two bumps makes the activities depend on the order.
+            let implied = p.map(Lit::var);
+            if let Some(v) = implied {
+                self.bump_var(v);
+            }
+            for k in 0..clen {
                 let q = self.lit_arena[cstart + k];
                 let v = q.var();
+                if Some(v) == implied {
+                    continue;
+                }
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
                     if self.level[v.index()] >= current {
@@ -671,10 +746,6 @@ impl Solver {
                         learnt.push(q);
                     }
                 }
-            }
-            // Bump all variables in the clause.
-            for k in 0..clen {
-                let v = self.lit_arena[cstart + k].var();
                 self.bump_var(v);
             }
             // Find next literal to expand.
@@ -765,8 +836,9 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var();
             self.saved_phase[v.index()] = l.is_positive();
-            self.assign[v.index()] = LBool::Undef;
-            self.heap.insert(v, &self.activity);
+            self.values[l.index()] = LBool::Undef;
+            self.values[(!l).index()] = LBool::Undef;
+            self.heap.insert(v, self.activity[v.index()]);
         }
         self.trail.truncate(keep);
         self.trail_lim.truncate(target as usize);
@@ -775,12 +847,25 @@ impl Solver {
 
     /// Picks the next decision literal, or `None` when all vars assigned.
     fn pick_branch(&mut self) -> Option<Lit> {
-        while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assign[v.index()] == LBool::Undef {
+        // Every unassigned variable is in the heap; the other entries are
+        // assigned variables that have not been popped yet.
+        let unassigned = self.num_vars() as usize - self.trail.len();
+        if unassigned == 0 {
+            return None;
+        }
+        // Once most entries are assigned, one pass that drops them all
+        // costs less than a sift-down for each.
+        if 2 * (self.heap.len() - unassigned) > self.heap.len() {
+            let values = &self.values;
+            self.heap
+                .retain(|v| values[v.positive().index()] == LBool::Undef);
+        }
+        while let Some(v) = self.heap.pop() {
+            if self.lit_value(v.positive()) == LBool::Undef {
                 return Some(v.lit(self.saved_phase[v.index()]));
             }
         }
-        None
+        unreachable!("an unassigned variable is missing from the heap")
     }
 
     /// Reduces the learnt-clause database, keeping low-LBD clauses and any
@@ -790,7 +875,7 @@ impl Solver {
             .clauses
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lbd > 2)
+            .filter(|(_, c)| c.deletable() && !c.deleted)
             .map(|(i, c)| (c.lbd, c.len as usize, i as ClauseId))
             .collect();
         // Worst first: high LBD, then long.
@@ -1180,6 +1265,11 @@ impl Solver {
                         if checked_since >= 256 {
                             checked_since = 0;
                             if limits.interrupted() {
+                                // `l` left the heap but never reached the
+                                // trail, so backjumping would not return it:
+                                // put it back, since `pick_branch` relies on
+                                // every unassigned variable being there.
+                                self.heap.insert(l.var(), self.activity[l.var().index()]);
                                 self.cancel_until(0);
                                 return SolveResult::Unknown;
                             }
@@ -1215,13 +1305,15 @@ impl Solver {
     fn build_core_from_conflict(&mut self, confl: ClauseId) {
         self.conflict_core.clear();
         let mut stack: Vec<Lit> = self.lits(confl).to_vec();
-        let mut visited = vec![false; self.assign.len()];
+        // Visited variables are marked in `seen` and listed for clearing.
+        let mut visited: Vec<Var> = Vec::new();
         while let Some(l) = stack.pop() {
             let v = l.var();
-            if visited[v.index()] || self.level[v.index()] == 0 {
+            if self.seen[v.index()] || self.level[v.index()] == 0 {
                 continue;
             }
-            visited[v.index()] = true;
+            self.seen[v.index()] = true;
+            visited.push(v);
             match self.reason[v.index()] {
                 Reason::Decision => {
                     // An assumption.
@@ -1236,11 +1328,16 @@ impl Solver {
                 }
             }
         }
+        for v in visited {
+            self.seen[v.index()] = false;
+        }
     }
 
     fn extract_model(&self) -> Model {
         Model {
-            values: self.assign.iter().map(|&a| a == LBool::True).collect(),
+            values: (0..self.num_vars())
+                .map(|v| self.lit_value(Var(v).positive()) == LBool::True)
+                .collect(),
         }
     }
 }
@@ -1264,12 +1361,31 @@ fn luby(i: u64) -> u64 {
 }
 
 /// Max-heap over variables keyed by activity, with a position index for
-/// O(log n) increase-key. Ties break toward the smaller variable index so
-/// runs are deterministic.
+/// O(log n) increase-key. Ties break toward the smaller variable index, so
+/// the order is total: every exact heap pops the same variable, and runs
+/// are deterministic. Each entry carries a copy of its variable's
+/// activity, so a sift compares neighbouring memory.
 struct IndexedHeap {
-    heap: Vec<Var>,
-    pos: Vec<Option<u32>>, // indexed by var
+    heap: Vec<HeapEntry>,
+    /// Position of each variable in `heap`, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>, // indexed by var
 }
+
+#[derive(Clone, Copy)]
+struct HeapEntry {
+    act: f64,
+    var: Var,
+}
+
+impl HeapEntry {
+    /// True iff `self` pops before `other`.
+    #[inline]
+    fn before(self, other: HeapEntry) -> bool {
+        self.act > other.act || (self.act == other.act && self.var.0 < other.var.0)
+    }
+}
+
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 impl IndexedHeap {
     fn new() -> IndexedHeap {
@@ -1279,80 +1395,121 @@ impl IndexedHeap {
         }
     }
 
-    fn less(a: Var, b: Var, act: &[f64]) -> bool {
-        // "less" in heap order means higher priority.
-        let (aa, ab) = (act[a.index()], act[b.index()]);
-        aa > ab || (aa == ab && a.0 < b.0)
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 
-    fn insert(&mut self, v: Var, act: &[f64]) {
-        while self.pos.len() <= v.index() {
-            self.pos.push(None);
+    /// Adds `v` with activity `act` unless it is already in the heap.
+    fn insert(&mut self, v: Var, act: f64) {
+        if self.pos.len() <= v.index() {
+            self.pos.resize(v.index() + 1, NOT_IN_HEAP);
         }
-        if self.pos[v.index()].is_some() {
+        if self.pos[v.index()] != NOT_IN_HEAP {
             return;
         }
-        self.heap.push(v);
-        self.pos[v.index()] = Some(self.heap.len() as u32 - 1);
-        self.sift_up(self.heap.len() - 1, act);
+        self.heap.push(HeapEntry { act, var: v });
+        self.sift_up(self.heap.len() - 1);
     }
 
-    fn update(&mut self, v: Var, act: &[f64]) {
-        if let Some(i) = self.pos.get(v.index()).copied().flatten() {
-            self.sift_up(i as usize, act);
+    /// Raises the activity of `v`, if it is in the heap, to `act`.
+    fn update(&mut self, v: Var, act: f64) {
+        match self.pos.get(v.index()) {
+            Some(&i) if i != NOT_IN_HEAP => {
+                self.heap[i as usize].act = act;
+                self.sift_up(i as usize);
+            }
+            _ => {}
         }
     }
 
-    fn pop(&mut self, act: &[f64]) -> Option<Var> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        let last = self.heap.pop().expect("nonempty");
-        self.pos[top.index()] = None;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last.index()] = Some(0);
-            self.sift_down(0, act);
-        }
+    fn pop(&mut self) -> Option<Var> {
+        let last = self.heap.pop()?;
+        self.pos[last.var.index()] = NOT_IN_HEAP;
+        let Some(root) = self.heap.first_mut() else {
+            return Some(last.var);
+        };
+        let top = std::mem::replace(root, last).var;
+        self.pos[top.index()] = NOT_IN_HEAP;
+        self.sift_down(0);
         Some(top)
     }
 
-    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+    /// Multiplies every activity copy by `factor`, as the solver scales
+    /// its activity array, so the copies stay bit-identical to it.
+    /// Rounding can make two activities equal, after which the index
+    /// decides, so the order is rebuilt.
+    fn rescale(&mut self, factor: f64) {
+        for e in &mut self.heap {
+            e.act *= factor;
+        }
+        self.heapify();
+    }
+
+    /// Drops the variables `keep` rejects and restores the heap order.
+    fn retain(&mut self, mut keep: impl FnMut(Var) -> bool) {
+        let pos = &mut self.pos;
+        self.heap.retain(|e| {
+            let kept = keep(e.var);
+            if !kept {
+                pos[e.var.index()] = NOT_IN_HEAP;
+            }
+            kept
+        });
+        self.heapify();
+    }
+
+    /// Restores the heap order over the whole array (Floyd's bottom-up
+    /// construction, O(n)).
+    fn heapify(&mut self) {
+        for (i, e) in self.heap.iter().enumerate() {
+            self.pos[e.var.index()] = i as u32;
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// Moves the entry at `i` up: parents it outranks move down into the
+    /// hole it leaves.
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if Self::less(self.heap[i], self.heap[parent], act) {
-                self.swap(i, parent);
-                i = parent;
-            } else {
+            let p = self.heap[parent];
+            if !e.before(p) {
                 break;
             }
+            self.heap[i] = p;
+            self.pos[p.var.index()] = i as u32;
+            i = parent;
         }
+        self.heap[i] = e;
+        self.pos[e.var.index()] = i as u32;
     }
 
-    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+    /// Moves the entry at `i` down: the children that outrank it move up
+    /// into the hole it leaves.
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        let n = self.heap.len();
         loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < self.heap.len() && Self::less(self.heap[l], self.heap[best], act) {
-                best = l;
-            }
-            if r < self.heap.len() && Self::less(self.heap[r], self.heap[best], act) {
-                best = r;
-            }
-            if best == i {
+            let mut child = 2 * i + 1;
+            if child >= n {
                 break;
             }
-            self.swap(i, best);
-            i = best;
+            if child + 1 < n && self.heap[child + 1].before(self.heap[child]) {
+                child += 1;
+            }
+            let c = self.heap[child];
+            if !c.before(e) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c.var.index()] = i as u32;
+            i = child;
         }
-    }
-
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i].index()] = Some(i as u32);
-        self.pos[self.heap[j].index()] = Some(j as u32);
+        self.heap[i] = e;
+        self.pos[e.var.index()] = i as u32;
     }
 }
 
@@ -1723,6 +1880,38 @@ mod tests {
     }
 
     #[test]
+    fn decision_interrupted_at_the_poll_stays_decidable() {
+        // The decision poll fires after the next variable has left the
+        // heap; a later solve on the same solver must still decide it.
+        struct StopAtFirstModel(Arc<AtomicBool>);
+        impl TheoryHook for StopAtFirstModel {
+            fn final_check(&mut self, model: &Model) -> TheoryVerdict {
+                self.0.store(true, Ordering::Relaxed);
+                TheoryVerdict::Lemma(vec![Var(0).lit(!model.value(Var(0)))])
+            }
+        }
+        // 300 free variables: the first model takes 300 decisions (one
+        // poll), and the poll after the lemma lands 212 decisions later,
+        // with 88 variables still unassigned.
+        let mut s = Solver::new();
+        s.reserve_vars(300);
+        let stop = Arc::new(AtomicBool::new(false));
+        let r = s.solve_with_theory(
+            &[],
+            &mut StopAtFirstModel(stop.clone()),
+            Limits {
+                stop: Some(stop),
+                ..Limits::NONE
+            },
+        );
+        assert!(matches!(r, SolveResult::Unknown));
+        assert_eq!(s.stats().theory_lemmas, 1);
+        assert_eq!(s.stats().decisions, 300 + 212);
+        assert!(s.solve().is_sat());
+        assert!(s.solve_with_assumptions(&[lit(299, true)]).is_sat());
+    }
+
+    #[test]
     fn theory_hook_can_force_unsat() {
         struct Never;
         impl TheoryHook for Never {
@@ -1824,6 +2013,168 @@ mod tests {
         assert!(s.solve().is_unsat());
         let proof = s.take_proof();
         assert!(check_proof(&proof).is_ok());
+    }
+
+    /// Checks every structural invariant of the heap against the
+    /// activity array it copies.
+    fn check_heap(h: &IndexedHeap, act: &[f64]) {
+        for (i, e) in h.heap.iter().enumerate() {
+            assert_eq!(h.pos[e.var.index()], i as u32, "position of {}", e.var.0);
+            assert_eq!(e.act.to_bits(), act[e.var.index()].to_bits());
+            if i > 0 {
+                assert!(!e.before(h.heap[(i - 1) / 2]), "heap order at {i}");
+            }
+        }
+        let members = h.pos.iter().filter(|&&p| p != NOT_IN_HEAP).count();
+        assert_eq!(members, h.heap.len());
+    }
+
+    #[test]
+    fn heap_pops_match_an_ordered_model() {
+        use std::cmp::Reverse;
+        use std::collections::BTreeSet;
+        use verdict_prng::Prng;
+        // The model orders (activity, then the smaller index) through the
+        // activity's bits, which order like the values for non-negative
+        // floats: its last element is the variable the heap must pop.
+        let key = |act: &[f64], v: u32| (act[v as usize].to_bits(), Reverse(v));
+        let n = 40u32;
+        // Subnormal and repeated increments make ties: equal activities,
+        // and activities a rescale rounds together or down to zero.
+        let increments = [1.0, 1.0, 0.5, 3.0, 1e-310];
+        for seed in 0..8u64 {
+            let mut rng = Prng::seed_from_u64(seed);
+            let mut act = vec![0.0f64; n as usize];
+            let mut heap = IndexedHeap::new();
+            let mut model: BTreeSet<(u64, Reverse<u32>)> = BTreeSet::new();
+            for v in 0..n {
+                heap.insert(Var(v), 0.0);
+                model.insert(key(&act, v));
+            }
+            for _ in 0..20_000 {
+                let v = rng.gen_index(n as usize) as u32;
+                match rng.gen_index(11) {
+                    0..=1 => {
+                        heap.insert(Var(v), act[v as usize]);
+                        model.insert(key(&act, v));
+                    }
+                    2..=5 => {
+                        let was = model.remove(&key(&act, v));
+                        act[v as usize] += increments[rng.gen_index(increments.len())];
+                        heap.update(Var(v), act[v as usize]);
+                        if was {
+                            model.insert(key(&act, v));
+                        }
+                    }
+                    6 => {
+                        if rng.gen_percent(10) {
+                            let members: Vec<u32> = model.iter().map(|k| k.1 .0).collect();
+                            for a in &mut act {
+                                *a *= RESCALE_FACTOR;
+                            }
+                            heap.rescale(RESCALE_FACTOR);
+                            model = members.into_iter().map(|v| key(&act, v)).collect();
+                        }
+                    }
+                    7..=9 => {
+                        let want = model.pop_last().map(|k| Var(k.1 .0));
+                        assert_eq!(heap.pop(), want, "seed {seed}");
+                    }
+                    _ => {
+                        // Prune, as `pick_branch` drops assigned entries.
+                        let mask = rng.next_u64();
+                        let keep = |v: Var| mask >> (v.0 % 64) & 1 == 1;
+                        heap.retain(keep);
+                        model.retain(|k| keep(Var(k.1 .0)));
+                    }
+                }
+                check_heap(&heap, &act);
+                assert_eq!(heap.len(), model.len());
+            }
+            while let Some(k) = model.pop_last() {
+                assert_eq!(heap.pop(), Some(Var(k.1 .0)), "seed {seed}");
+            }
+            assert_eq!(heap.pop(), None);
+        }
+    }
+
+    /// True iff every watcher of clause `cid` carries the binary tag.
+    fn watched_as_binary(s: &Solver, cid: ClauseId) -> bool {
+        let ws: Vec<Watcher> = s.watches.iter().flatten().copied().collect();
+        let mine: Vec<&Watcher> = ws.iter().filter(|w| w.clause() == cid).collect();
+        assert_eq!(mine.len(), 2, "clause {cid} has two watchers");
+        mine.iter().all(|w| w.binary())
+    }
+
+    #[test]
+    fn two_literal_import_above_glue_is_deletable() {
+        use crate::share::SharedClause;
+        let mut s = Solver::new();
+        // x2 and x3 are false at level 0, so the peer clause of four
+        // literals and LBD 4 is integrated as x0 ∨ x1.
+        assert!(s.add_clause([lit(2, false)]));
+        assert!(s.add_clause([lit(3, false)]));
+        let peer = SharedClause {
+            lits: vec![lit(0, true), lit(1, true), lit(2, true), lit(3, true)],
+            lbd: 4,
+            prefix_len: 0,
+            prefix_hash: 0,
+        };
+        assert!(s.integrate_shared(peer));
+        let import = (s.num_clauses() - 1) as ClauseId;
+        assert_eq!(s.lits(import), [lit(0, true), lit(1, true)]);
+        assert!(
+            !watched_as_binary(&s, import),
+            "LBD 4 keeps the general path"
+        );
+        // A better-ranked learnt clause, so reduction's worse half is the
+        // import alone.
+        s.reserve_vars(7);
+        let other = s.attach_clause(&[lit(4, true), lit(5, true), lit(6, true)], true, 3, false);
+        s.reduce_db();
+        assert!(s.clauses[import as usize].deleted);
+        assert!(!s.clauses[other as usize].deleted);
+        // With x0 false the deleted clause would imply x1; it must not.
+        s.trail_lim.push(s.trail.len());
+        s.enqueue(lit(0, false), Reason::Decision);
+        assert!(s.propagate().is_none());
+        assert_eq!(s.lit_value(lit(1, true)), LBool::Undef);
+        assert_eq!(s.stats.import_hits, 0);
+        assert!(s.watches[lit(0, false).index()]
+            .iter()
+            .all(|w| w.clause() != import));
+    }
+
+    #[test]
+    fn binary_import_counts_its_hits() {
+        use crate::share::{ClauseHub, SharedClause};
+        let hub = ClauseHub::new(2);
+        let mut s = Solver::new();
+        assert!(s.attach_sharing(hub.endpoint().unwrap()));
+        let peer = SharedClause {
+            lits: vec![lit(0, true), lit(1, true)],
+            lbd: 2,
+            prefix_len: 0,
+            prefix_hash: 0,
+        };
+        assert!(s.integrate_shared(peer));
+        assert!(watched_as_binary(&s, 0));
+        // Propagating x1 from the watcher alone still counts the hit.
+        s.trail_lim.push(s.trail.len());
+        s.enqueue(lit(0, false), Reason::Decision);
+        assert!(s.propagate().is_none());
+        assert_eq!(s.lit_value(lit(1, true)), LBool::True);
+        assert_eq!(s.stats.import_hits, 1);
+        // So does a conflict, which leaves the pair in the arena as
+        // [other literal, falsified literal] for conflict analysis: x0 is
+        // propagated false first, so x1 leads.
+        s.cancel_until(0);
+        s.trail_lim.push(s.trail.len());
+        s.enqueue(lit(0, false), Reason::Decision);
+        s.enqueue(lit(1, false), Reason::Decision);
+        assert_eq!(s.propagate(), Some(0));
+        assert_eq!(s.lits(0), [lit(1, true), lit(0, true)]);
+        assert_eq!(s.stats.import_hits, 2);
     }
 
     #[test]

@@ -31,6 +31,11 @@ if [[ "${1:-}" != "--quick" ]]; then
     cargo test --release -p verdict-sat --lib -q proof::
 fi
 
+# Every temporary file and directory of the lanes below lives under one
+# directory, removed however the script exits, a failed check included.
+trap 'rm -rf "${tmp_root:-}"' EXIT
+tmp_root=$(mktemp -d)
+
 # Certified verdicts on the case-study examples: every counterexample must
 # replay through the reference interpreter — any certificate rejection
 # fails the gate. (Exit 2 = property violated, which the examples are;
@@ -52,8 +57,7 @@ done
 # Certified proofs: a model whose invariant holds must come back safe with
 # its proof re-checked, by k-induction (fresh solvers, DRUP proofs) and by
 # BDD (reachable set re-checked as an inductive invariant).
-holds_dir=$(mktemp -d)
-holds_model="$holds_dir/capped.vd"
+holds_model="$tmp_root/capped.vd"
 cat >"$holds_model" <<'VD'
 system capped {
     var n : 0..10;
@@ -86,14 +90,12 @@ for hit in 1 2 3 4 5 6 7 8; do
         exit 1
     fi
 done
-rm -rf "$holds_dir"
 
 # Observability smoke: --stats --json must emit the versioned schema-2
 # document with nonzero counters and per-depth timings, and --trace must
 # write parseable JSONL, on both case-study models.
-stats_smoke_dir=$(mktemp -d)
 for model in examples/models/step_counter.vd examples/models/leaky_bucket.vd; do
-    trace_file="$stats_smoke_dir/$(basename "$model").trace.jsonl"
+    trace_file="$tmp_root/$(basename "$model").trace.jsonl"
     status=0
     out=$(./target/release/verdict check "$model" --stats --json --trace "$trace_file") \
         || status=$?
@@ -126,15 +128,14 @@ for model in examples/models/step_counter.vd examples/models/leaky_bucket.vd; do
         exit 1
     fi
 done
-rm -rf "$stats_smoke_dir"
 
 # Incremental-synthesis smoke on the small test topology, at jobs 1 and
 # jobs 2. The bench binary asserts the incremental sweep is
 # verdict-for-verdict identical to the clone path before it reports any
 # timing, so this also gates correctness, not just that the binary runs.
-synth_out=$(mktemp)
-smoke_dir=$(mktemp -d)
-trap 'rm -f "$synth_out"; rm -rf "$smoke_dir"' EXIT
+synth_out="$tmp_root/synth.json"
+smoke_dir="$tmp_root/smoke"
+mkdir "$smoke_dir"
 ./target/release/synth --topology test --jobs 2 --reps 2 --out "$synth_out" >/dev/null
 # The ring-based runtime must not make jobs=2 slower than jobs=1: allow
 # 15% plus a 50ms epsilon for thread spin-up and timer noise on starved
