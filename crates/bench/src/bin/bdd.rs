@@ -9,9 +9,9 @@
 //! For each topology (test, fattree4 … fattree`--max-arity`) the
 //! availability invariant is verified at `p = 1, k = 1, m = 1` by the
 //! BDD engine twice — once with the monolithic conjoined transition
-//! relation, once partitioned with early quantification and sifting —
-//! and the JSON records wall-clock, peak live nodes, partition count,
-//! and sift activity for both modes. The headline claims the sweep
+//! relation, once partitioned with early quantification — and the JSON
+//! records wall-clock, peak live nodes, nodes allocated and partition
+//! count for both modes. The headline claims the sweep
 //! backs: the partitioned image keeps peak live nodes several times
 //! below the monolithic run at arity 4, and arities the monolithic
 //! relation cannot finish within the timeout verify partitioned.
@@ -34,7 +34,6 @@ struct Run {
     peak_live: u64,
     nodes_allocated: u64,
     partitions: u64,
-    sifts: u64,
 }
 
 fn verdict_str(r: &CheckResult) -> &'static str {
@@ -62,20 +61,18 @@ fn check(model: &RolloutModel, pins: (i64, i64, i64), partitioned: bool, timeout
         peak_live: stats.bdd.peak_live_nodes,
         nodes_allocated: stats.bdd.nodes_allocated,
         partitions: stats.bdd.partitions,
-        sifts: stats.bdd.sifts,
     }
 }
 
 fn run_json(r: &Run) -> String {
     format!(
         "{{\"verdict\": \"{}\", \"wall_secs\": {:.6}, \"peak_live_nodes\": {}, \
-         \"nodes_allocated\": {}, \"partitions\": {}, \"sifts\": {}}}",
+         \"nodes_allocated\": {}, \"partitions\": {}}}",
         r.verdict,
         r.wall.as_secs_f64(),
         r.peak_live,
         r.nodes_allocated,
         r.partitions,
-        r.sifts,
     )
 }
 
@@ -108,7 +105,7 @@ fn main() {
         timeout.as_secs()
     );
     println!(
-        "{:<10} {:>6} | {:>10} {:>12} | {:>10} {:>12} {:>6} {:>6} | {:>10}",
+        "{:<10} {:>6} | {:>10} {:>12} | {:>10} {:>12} {:>6} | {:>10}",
         "topology",
         "nodes",
         "mono wall",
@@ -116,7 +113,6 @@ fn main() {
         "part wall",
         "part peak",
         "parts",
-        "sifts",
         "reduction"
     );
 
@@ -140,13 +136,12 @@ fn main() {
         }
         let reduction = mono.peak_live as f64 / part.peak_live.max(1) as f64;
         println!(
-            "{name:<10} {nodes:>6} | {:>10} {:>12} | {:>10} {:>12} {:>6} {:>6} | {reduction:>9.1}x",
+            "{name:<10} {nodes:>6} | {:>10} {:>12} | {:>10} {:>12} {:>6} | {reduction:>9.1}x",
             format!("{} {}", mono.verdict, fmt_duration(mono.wall)),
             mono.peak_live,
             format!("{} {}", part.verdict, fmt_duration(part.wall)),
             part.peak_live,
             part.partitions,
-            part.sifts,
         );
         let _ = write!(
             rows,

@@ -87,7 +87,7 @@ fn main() {
         timed(|| synthesize_first_safe(&model.system, &params, &prop, engine, &par_opts).unwrap());
     assert_eq!(seq.verdicts.len(), par.verdicts.len());
     for (a, b) in seq.verdicts.iter().zip(&par.verdicts) {
-        assert_eq!(a.values, b.values, "sharding must not reorder verdicts");
+        assert_eq!(a.values, b.values, "sharding must not permute verdicts");
         assert_eq!(a.result.holds(), b.result.holds());
         assert_eq!(a.result.violated(), b.result.violated());
     }

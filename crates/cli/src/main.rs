@@ -13,6 +13,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use verdict_dsl::{parse, CompiledProperty};
+use verdict_journal::json::quote;
 use verdict_journal::VerdictTag;
 use verdict_mc::{
     certify, CheckOptions, CheckResult, EngineKind, PropertyKind, TraceSink, UnknownReason,
@@ -90,7 +91,9 @@ OPTIONS (check/synth):
                        the model has several)
     --engine ENGINE    auto | bmc | kind | bdd | explicit | smtbmc | portfolio
                        (portfolio races BMC against the provers in
-                       parallel threads and keeps the first verdict)
+                       parallel threads and keeps the first verdict;
+                       the JSON engine tags k-induction and smt-bmc
+                       are accepted too)
                                                                     [default: auto]
     --depth N          unrolling depth bound                        [default: 64]
     --timeout SECS     wall-clock budget per property
@@ -113,11 +116,6 @@ OPTIONS (check/synth):
                        (the default; see DESIGN.md §15)
     --bdd-monolithic   symbolic engine: one conjoined transition-relation
                        BDD (baseline; verdicts are identical either way)
-    --bdd-no-sift      disable dynamic variable reordering (sifting) in
-                       the symbolic engine
-    --bdd-sift-threshold N
-                       live-node count that triggers the first sift
-                       (default: adaptive, 4x the post-encoding size)
     --max-bdd-nodes N  BDD node ceiling: the manager refuses further
                        allocation and the run demotes to UNKNOWN
                        (resource-exhausted) instead of exhausting memory
@@ -293,27 +291,6 @@ fn exit_code(o: &Outcome) -> u8 {
     }
 }
 
-/// Minimal JSON string quoting (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The coarse verdict bucket used in JSON output and the exit code —
 /// the shared `verdict_mc::spec` mapping, so local and server rows
 /// always use the same tags.
@@ -324,6 +301,16 @@ fn verdict_tag(r: &CheckResult) -> &'static str {
 /// Pulls `--flag value` out of an argument list (shared
 /// `verdict_mc::spec` helper).
 use verdict_mc::spec::flag_value;
+
+/// The `--engine` flag, parsed by [`EngineKind::from_tag`] like every
+/// other surface (so the tags `check --json` prints parse back); `auto`
+/// when absent.
+fn engine_from(args: &[String]) -> Result<EngineKind, String> {
+    match flag_value(args, "--engine") {
+        None => Ok(EngineKind::Auto),
+        Some(tag) => EngineKind::from_tag(&tag).ok_or_else(|| format!("unknown engine `{tag}`")),
+    }
+}
 
 fn check(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
@@ -345,16 +332,10 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    let engine = match flag_value(args, "--engine").as_deref() {
-        None | Some("auto") => EngineKind::Auto,
-        Some("bmc") => EngineKind::Bmc,
-        Some("kind") => EngineKind::KInduction,
-        Some("bdd") => EngineKind::Bdd,
-        Some("explicit") => EngineKind::Explicit,
-        Some("smtbmc") => EngineKind::SmtBmc,
-        Some("portfolio") => EngineKind::Portfolio,
-        Some(other) => {
-            eprintln!("unknown engine `{other}`");
+    let engine = match engine_from(args) {
+        Ok(e) => e,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -452,11 +433,11 @@ fn check(args: &[String]) -> ExitCode {
                 if json {
                     rows.push(format!(
                         "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":0,\"resumed\":true}}",
-                        json_str(name),
-                        json_str(prev.verdict.tag()),
-                        json_str(prev.verdict.tag()),
-                        json_str(&prev.engine),
-                        json_str("skipped"),
+                        quote(name),
+                        quote(prev.verdict.tag()),
+                        quote(prev.verdict.tag()),
+                        quote(&prev.engine),
+                        quote("skipped"),
                     ));
                 } else {
                     println!(
@@ -538,11 +519,11 @@ fn check(args: &[String]) -> ExitCode {
             };
             rows.push(format!(
                 "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":{}{stats_field}}}",
-                json_str(name),
-                json_str(verdict_tag(&result)),
-                json_str(&result.to_string()),
-                json_str(&used_engine.to_string()),
-                json_str(&cert.to_string()),
+                quote(name),
+                quote(verdict_tag(&result)),
+                quote(&result.to_string()),
+                quote(&used_engine.to_string()),
+                quote(&cert.to_string()),
                 wall.as_millis()
             ));
         } else {
@@ -573,7 +554,7 @@ fn check(args: &[String]) -> ExitCode {
     if json {
         println!(
             "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"check\",\"model\":{},\"properties\":[{}],\"exit_code\":{code}}}",
-            json_str(path),
+            quote(path),
             rows.join(",")
         );
     }
@@ -604,14 +585,11 @@ fn print_stats_text(stats: &verdict_mc::Stats, contenders: &[(EngineKind, verdic
     if !stats.bdd.is_zero() {
         println!(
             "  bdd: {} nodes, {:.1}% ite cache hits, {} peak live, {} partition(s), \
-             {} sift(s) ({} -> {} nodes), {} cache clears",
+             {} cache clears",
             stats.bdd.nodes_allocated,
             stats.bdd.ite_hit_rate() * 100.0,
             stats.bdd.peak_live_nodes,
             stats.bdd.partitions,
-            stats.bdd.sifts,
-            stats.bdd.sift_nodes_before,
-            stats.bdd.sift_nodes_after,
             stats.bdd.cache_clears
         );
     }
@@ -729,6 +707,13 @@ fn synth(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let engine = match engine_from(args) {
+        Ok(e) => e,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let opts = match options_from(args) {
         Ok(o) => o,
         Err(e) => {
@@ -742,7 +727,9 @@ fn synth(args: &[String]) -> ExitCode {
     }
     let opts = opts.with_stop(sigint::install());
     let json = args.iter().any(|a| a == "--json");
-    let verifier = Verifier::new(&model.system).options(opts.clone());
+    let verifier = Verifier::new(&model.system)
+        .engine(engine)
+        .options(opts.clone());
     let first_safe = args.iter().any(|a| a == "--first-safe");
 
     let (journal_path, resume) = match journal_flags(args) {
@@ -804,26 +791,26 @@ fn synth(args: &[String]) -> ExitCode {
                     .iter()
                     .map(|v| {
                         let vals: Vec<String> =
-                            v.values.iter().map(|x| json_str(&x.to_string())).collect();
+                            v.values.iter().map(|x| quote(&x.to_string())).collect();
                         let reason = match &v.result {
-                            CheckResult::Unknown(r) => json_str(r.tag()),
+                            CheckResult::Unknown(r) => quote(r.tag()),
                             _ => "null".to_string(),
                         };
                         format!(
                             "{{\"values\":[{}],\"verdict\":{},\"detail\":{},\"attempts\":{},\"reason\":{}}}",
                             vals.join(","),
-                            json_str(verdict_tag(&v.result)),
-                            json_str(&v.result.to_string()),
+                            quote(verdict_tag(&v.result)),
+                            quote(&v.result.to_string()),
                             v.attempts,
                             reason
                         )
                     })
                     .collect();
-                let names: Vec<String> = result.param_names.iter().map(|n| json_str(n)).collect();
+                let names: Vec<String> = result.param_names.iter().map(|n| quote(n)).collect();
                 println!(
                     "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"synth\",\"model\":{},\"property\":{},\"params\":[{}],\"verdicts\":[{}],\"wall_ms\":{}}}",
-                    json_str(path),
-                    json_str(name),
+                    quote(path),
+                    quote(name),
                     names.join(","),
                     rows.join(","),
                     started.elapsed().as_millis()

@@ -16,11 +16,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use verdict_journal::json::quote;
 use verdict_mc::spec::{flag_value, ExecContext, JobSpec, VerdictRow};
 use verdict_mc::{EngineKind, STATS_SCHEMA_VERSION};
 use verdict_scenarios::{generate, incident_ids, GenConfig, Pattern, Scenario};
 
-use crate::{exit_code, json_str, sigint, Outcome};
+use crate::{exit_code, sigint, Outcome};
 
 /// One property of one instance, scored against its expectation.
 struct Scored {
@@ -348,19 +349,19 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             }
             if cfg.json {
                 let reason = match &p.reason {
-                    Some(r) => json_str(r),
+                    Some(r) => quote(r),
                     None => "null".to_string(),
                 };
                 lines.push(format!(
                     "{{\"name\":{},\"kind\":{},\"expected\":{},\"verdict\":{},\"match\":{},\"engine\":{},\"reason\":{},\"detail\":{}}}",
-                    json_str(p.name),
-                    json_str(p.kind),
-                    json_str(p.expected),
-                    json_str(&p.verdict),
+                    quote(p.name),
+                    quote(p.kind),
+                    quote(p.expected),
+                    quote(&p.verdict),
                     p.matched(),
-                    json_str(&p.engine),
+                    quote(&p.engine),
                     reason,
-                    json_str(&p.detail)
+                    quote(&p.detail)
                 ));
             } else if !p.matched() {
                 println!(
@@ -373,12 +374,12 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             let params: Vec<String> = s
                 .params
                 .iter()
-                .map(|(k, v)| format!("{}:{v}", json_str(k)))
+                .map(|(k, v)| format!("{}:{v}", quote(k)))
                 .collect();
             scenario_docs.push(format!(
                 "{{\"id\":{},\"pattern\":{},\"params\":{{{}}},\"properties\":[{}]}}",
-                json_str(&s.id),
-                json_str(s.pattern.tag()),
+                quote(&s.id),
+                quote(s.pattern.tag()),
                 params.join(","),
                 lines.join(",")
             ));
@@ -398,10 +399,10 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             .iter()
             .map(|(p, r)| {
                 let incidents: Vec<String> =
-                    incident_ids(*p).into_iter().map(json_str).collect();
+                    incident_ids(*p).into_iter().map(quote).collect();
                 format!(
                     "{{\"pattern\":{},\"incidents\":[{}],\"instances\":{},\"properties\":{},\"matched\":{},\"mismatched\":{},\"infra\":{}}}",
-                    json_str(p.tag()),
+                    quote(p.tag()),
                     incidents.join(","),
                     r.instances,
                     r.properties,
@@ -413,7 +414,7 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             .collect();
         println!(
             "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"scenarios\",\"mode\":{},\"seed\":{},\"samples\":{},\"certify\":{},\"scenarios\":[{}],\"patterns\":[{}],\"exit_code\":{code}}}",
-            json_str(mode),
+            quote(mode),
             cfg.gen_cfg.seed,
             cfg.gen_cfg.samples,
             cfg.certify,
@@ -457,7 +458,7 @@ fn list(matrix: &[Scenario], cfg: &SweepConfig) -> ExitCode {
                 let params: Vec<String> = s
                     .params
                     .iter()
-                    .map(|(k, v)| format!("{}:{v}", json_str(k)))
+                    .map(|(k, v)| format!("{}:{v}", quote(k)))
                     .collect();
                 let props: Vec<String> = s
                     .properties
@@ -465,17 +466,17 @@ fn list(matrix: &[Scenario], cfg: &SweepConfig) -> ExitCode {
                     .map(|p| {
                         format!(
                             "{{\"name\":{},\"kind\":{},\"expected\":{}}}",
-                            json_str(p.name),
-                            json_str(p.kind.tag()),
-                            json_str(p.expected.tag())
+                            quote(p.name),
+                            quote(p.kind.tag()),
+                            quote(p.expected.tag())
                         )
                     })
                     .collect();
                 format!(
                     "{{\"id\":{},\"pattern\":{},\"summary\":{},\"params\":{{{}}},\"properties\":[{}]}}",
-                    json_str(&s.id),
-                    json_str(s.pattern.tag()),
-                    json_str(&s.summary),
+                    quote(&s.id),
+                    quote(s.pattern.tag()),
+                    quote(&s.summary),
                     params.join(","),
                     props.join(",")
                 )

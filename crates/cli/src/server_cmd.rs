@@ -289,7 +289,7 @@ pub fn submit(args: &[String]) -> ExitCode {
             .collect();
         println!(
             "{{\"schema\":2,\"command\":\"submit\",\"job\":{job},\"state\":{},\"recovered\":{},\"verdicts\":[{}],\"exit_code\":{}}}",
-            crate::json_str(&outcome.state),
+            verdict_journal::json::quote(&outcome.state),
             outcome.recovered,
             rows.join(","),
             exit_code(&out)

@@ -39,10 +39,39 @@ system sweep {
 }
 ";
 
-fn write_model(tag: &str, body: &str) -> PathBuf {
+/// Parameter `p` only changes the step size; `n` stays even either way.
+/// k-induction at depth 1 cannot prove `even` (the unreachable state
+/// n = 5 steps to 7), while the BDD engine's reachability proves it.
+const TWOSTEP_MODEL: &str = "
+system twostep {
+    var n : 0..20;
+    param p : 1..2;
+    init n = 0;
+    trans next(n) = if n < 10 then n + 2 * p else n;
+    invariant even: n != 7;
+}
+";
+
+/// A model file in the system temp directory, removed on drop so that a
+/// failing assertion cleans up too.
+struct Model(PathBuf);
+
+impl Model {
+    fn path(&self) -> &str {
+        self.0.to_str().expect("UTF-8 temp path")
+    }
+}
+
+impl Drop for Model {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn write_model(tag: &str, body: &str) -> Model {
     let path = std::env::temp_dir().join(format!("verdict-exit-{}-{tag}.vd", std::process::id()));
     std::fs::write(&path, body).expect("model written");
-    path
+    Model(path)
 }
 
 fn run(args: &[&str]) -> Output {
@@ -59,14 +88,14 @@ fn code(out: &Output) -> i32 {
 #[test]
 fn safe_model_exits_zero() {
     let m = write_model("safe", SAFE_MODEL);
-    let out = run(&["check", m.to_str().unwrap()]);
+    let out = run(&["check", m.path()]);
     assert_eq!(code(&out), 0, "{out:?}");
 }
 
 #[test]
 fn violated_model_exits_two() {
     let m = write_model("unsafe", UNSAFE_MODEL);
-    let out = run(&["check", m.to_str().unwrap()]);
+    let out = run(&["check", m.path()]);
     assert_eq!(code(&out), 2, "{out:?}");
 }
 
@@ -75,14 +104,7 @@ fn honest_unknown_exits_zero() {
     // BMC cannot prove a holding invariant: depth-bound is an honest
     // Unknown, not an infrastructure failure.
     let m = write_model("honest", SAFE_MODEL);
-    let out = run(&[
-        "check",
-        m.to_str().unwrap(),
-        "--engine",
-        "bmc",
-        "--depth",
-        "4",
-    ]);
+    let out = run(&["check", m.path(), "--engine", "bmc", "--depth", "4"]);
     assert_eq!(code(&out), 0, "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("UNKNOWN"), "{text}");
@@ -91,7 +113,7 @@ fn honest_unknown_exits_zero() {
 #[test]
 fn parse_error_exits_one() {
     let m = write_model("garbled", "system { nope");
-    let out = run(&["check", m.to_str().unwrap()]);
+    let out = run(&["check", m.path()]);
     assert_eq!(code(&out), 1, "{out:?}");
 }
 
@@ -102,7 +124,7 @@ fn infrastructure_unknown_exits_one() {
     let m = write_model("infra", SAFE_MODEL);
     let out = run(&[
         "check",
-        m.to_str().unwrap(),
+        m.path(),
         "--engine",
         "kind",
         "--fault",
@@ -118,7 +140,7 @@ fn retries_recover_infrastructure_failures() {
     let m = write_model("retry", SAFE_MODEL);
     let out = run(&[
         "check",
-        m.to_str().unwrap(),
+        m.path(),
         "--engine",
         "kind",
         "--fault",
@@ -138,7 +160,7 @@ fn contained_panic_exits_one_not_crash() {
     let m = write_model("panic", SAFE_MODEL);
     let out = run(&[
         "check",
-        m.to_str().unwrap(),
+        m.path(),
         "--engine",
         "kind",
         "--fault",
@@ -156,7 +178,7 @@ fn synth_json_reports_attempts_and_reasons() {
     let m = write_model("synthjson", SWEEP_MODEL);
     let out = run(&[
         "synth",
-        m.to_str().unwrap(),
+        m.path(),
         "--params",
         "step",
         "--fault",
@@ -183,7 +205,7 @@ fn synth_json_reports_attempts_and_reasons() {
     // UnknownReason.
     let out = run(&[
         "synth",
-        m.to_str().unwrap(),
+        m.path(),
         "--params",
         "step",
         "--fault",
@@ -196,13 +218,51 @@ fn synth_json_reports_attempts_and_reasons() {
 }
 
 #[test]
+fn check_parses_the_engine_tags_it_prints() {
+    let m = write_model("tags", SAFE_MODEL);
+    let out = run(&["check", m.path(), "--engine", "k-induction", "--json"]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("\"engine\":\"k-induction\""), "{text}");
+    for cmd in ["check", "synth"] {
+        let out = run(&[cmd, m.path(), "--params", "n", "--engine", "nuxmv"]);
+        assert_eq!(code(&out), 1, "{cmd}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown engine `nuxmv`"), "{cmd}: {err}");
+    }
+}
+
+#[test]
+fn synth_honours_the_engine_flag() {
+    let m = write_model("twostep", TWOSTEP_MODEL);
+    let out = run(&[
+        "synth",
+        m.path(),
+        "--params",
+        "p",
+        "--engine",
+        "bdd",
+        "--depth",
+        "1",
+        "--json",
+    ]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        text.matches("\"verdict\":\"safe\"").count(),
+        2,
+        "both assignments proved by BDD reachability: {text}"
+    );
+}
+
+#[test]
 fn conflicting_flags_exit_one() {
     let m = write_model("flags", SAFE_MODEL);
     for args in [
         ["check", "--journal", "/tmp/a", "--resume", "/tmp/b"].as_slice(),
         ["check", "--fault", "sat.solve:panic", "--fault-seed", "1"].as_slice(),
     ] {
-        let mut full = vec![args[0], m.to_str().unwrap()];
+        let mut full = vec![args[0], m.path()];
         full.extend_from_slice(&args[1..]);
         let out = run(&full);
         assert_eq!(code(&out), 1, "{args:?}: {out:?}");

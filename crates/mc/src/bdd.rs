@@ -30,15 +30,6 @@ use crate::tableau::violation_product;
 /// products off the monolithic blowup curve.
 const PARTITION_NODE_CAP: usize = 50;
 
-/// Fattest variable blocks moved per sift pass (each trial reorders the
-/// whole arena, so the pass cost is `blocks × candidate positions ×
-/// O(nodes)`).
-const MAX_SIFT_BLOCKS: usize = 8;
-
-/// Floor for the adaptive sift trigger: below this the arena is too
-/// small for reordering to pay for itself.
-const MIN_SIFT_TRIGGER: usize = 20_000;
-
 /// Floor for the adaptive garbage-collection trigger: below this the
 /// arena is too small for a collection pass to matter.
 const GC_MIN_TRIGGER: usize = 1 << 12;
@@ -101,8 +92,8 @@ struct Partition {
 }
 
 /// Index into the engine's protected-root registry: handles stored there
-/// are remapped when a sift invalidates the arena, so fixpoint loops can
-/// keep BDDs alive across dynamic reordering.
+/// are remapped when a garbage collection invalidates the arena, so
+/// fixpoint loops can keep BDDs alive across collections.
 #[derive(Clone, Copy, Debug)]
 struct RootId(usize);
 
@@ -139,15 +130,8 @@ pub struct SymbolicSystem<'s> {
     /// Garbage collection fires when the arena outgrows this many
     /// nodes (re-armed to 4× the post-collection live set).
     gc_trigger: usize,
-    /// Dynamic-reordering configuration: sifting fires when the arena
-    /// grows past `sift_threshold` live nodes (re-armed after each pass).
-    sift_enabled: bool,
-    sift_threshold: usize,
-    sift_fixed: Option<usize>,
-    /// `(reachable nodes before, after)` per sift, for stats/tracing.
-    sift_events: Vec<(usize, usize)>,
-    /// Caller-held handles that must survive a sift (stack discipline:
-    /// see [`SymbolicSystem::protect`]).
+    /// Caller-held handles that must survive a garbage collection (stack
+    /// discipline: see [`SymbolicSystem::protect`]).
     protected: Vec<Bdd>,
     /// Care set for expression lowering: when set, every intermediate
     /// boolean BDD is simplified against it (sibling substitution), so
@@ -161,17 +145,16 @@ pub struct SymbolicSystem<'s> {
 
 impl<'s> SymbolicSystem<'s> {
     /// Builds the encoding with default options (partitioned relation,
-    /// sifting on, no node ceiling). Fails on real-sorted variables.
+    /// no node ceiling). Fails on real-sorted variables.
     pub fn new(sys: &'s System) -> Result<SymbolicSystem<'s>, McError> {
         SymbolicSystem::configured(sys, &CheckOptions::default())
     }
 
     /// Builds the encoding honoring the symbolic-engine knobs in `opts`
-    /// (`bdd_partitioned`, `bdd_sift`, `bdd_sift_threshold`,
-    /// `max_bdd_nodes`). The node ceiling is installed *before* lowering
-    /// starts, so even encoding a pathological model cannot blow past it;
-    /// callers must consult [`BddManager::limit_exceeded`] before
-    /// trusting any BDD built here.
+    /// (`bdd_partitioned`, `max_bdd_nodes`, and the deadline). The node
+    /// ceiling is installed *before* lowering starts, so even encoding a
+    /// pathological model cannot blow past it; callers must consult
+    /// [`BddManager::limit_exceeded`] before trusting any BDD built here.
     pub fn configured(sys: &'s System, opts: &CheckOptions) -> Result<SymbolicSystem<'s>, McError> {
         sys.check()?;
         let mut man = BddManager::new();
@@ -222,10 +205,6 @@ impl<'s> SymbolicSystem<'s> {
             img_prequant: empty_set,
             pre_prequant: empty_set,
             gc_trigger: GC_MIN_TRIGGER,
-            sift_enabled: opts.bdd_sift,
-            sift_threshold: usize::MAX,
-            sift_fixed: opts.bdd_sift_threshold,
-            sift_events: Vec::new(),
             protected: Vec::new(),
             care: None,
             fixpoints: 0,
@@ -295,11 +274,6 @@ impl<'s> SymbolicSystem<'s> {
             enc.trans = enc.man.and_all(conjuncts);
         }
         enc.maybe_gc(Vec::new());
-
-        enc.sift_threshold = match enc.sift_fixed {
-            Some(t) => t,
-            None => (4 * enc.man.node_count()).max(MIN_SIFT_TRIGGER),
-        };
         Ok(enc)
     }
 
@@ -408,9 +382,11 @@ impl<'s> SymbolicSystem<'s> {
     }
 
     /// Mutable manager access, for callers composing their own boolean
-    /// operations over handles obtained from this encoding. Handles
-    /// built this way are NOT sift-safe — either disable sifting or
-    /// keep such composition outside the reachability loop.
+    /// operations over handles obtained from this encoding. Such handles
+    /// stay valid only until the encoding's next garbage collection,
+    /// which runs during encoding and at the end of every reachability
+    /// ring: compose after [`SymbolicSystem::reachable`] returns, or
+    /// recompute them.
     pub fn manager_mut(&mut self) -> &mut BddManager {
         &mut self.man
     }
@@ -444,21 +420,17 @@ impl<'s> SymbolicSystem<'s> {
         }
     }
 
-    /// `(reachable nodes before, after)` for every sift performed.
-    pub fn sift_log(&self) -> &[(usize, usize)] {
-        &self.sift_events
-    }
-
-    /// Registers a handle to survive sifting: the registry is remapped
-    /// alongside the engine's own roots whenever a reorder invalidates
-    /// the arena. Stack discipline — release with
+    /// Registers a handle to survive garbage collection: the registry is
+    /// remapped alongside the engine's own roots whenever a collection
+    /// invalidates the arena. Stack discipline — release with
     /// [`SymbolicSystem::unprotect_to`] in reverse order.
     fn protect(&mut self, b: Bdd) -> RootId {
         self.protected.push(b);
         RootId(self.protected.len() - 1)
     }
 
-    /// The current handle behind a protected slot (fresh after any sift).
+    /// The current handle behind a protected slot (fresh after any
+    /// collection).
     fn root(&self, id: RootId) -> Bdd {
         self.protected[id.0]
     }
@@ -473,17 +445,9 @@ impl<'s> SymbolicSystem<'s> {
         self.protected.truncate(id.0);
     }
 
-    /// Sifts if the arena has outgrown the trigger threshold: reorders
-    /// the fattest variable blocks (current/next bit pairs move as one so
-    /// the interleaving invariant survives), remaps every engine root and
-    /// protected handle, and re-arms the trigger at twice the compacted
-    /// size. All handles not registered via [`SymbolicSystem::protect`]
-    /// are invalidated — only call from points where the live set is
-    /// exactly the engine roots plus the registry.
-    /// Engine-owned handles that must survive an arena rebuild (GC or
-    /// sift): INIT/TRANS/space, partition relations, and the protected
-    /// registry — in that fixed order, which [`Self::install_roots`]
-    /// mirrors.
+    /// Engine-owned handles that must survive a garbage collection:
+    /// INIT/TRANS/space, partition relations, and the protected registry
+    /// — in that fixed order, which [`Self::install_roots`] mirrors.
     fn engine_roots(&self) -> Vec<Bdd> {
         let mut roots = vec![self.init, self.trans, self.space];
         for p in &self.partitions {
@@ -525,37 +489,6 @@ impl<'s> SymbolicSystem<'s> {
         let out = self.install_roots(remapped);
         self.gc_trigger = (4 * self.man.node_count()).max(GC_MIN_TRIGGER);
         out
-    }
-
-    fn maybe_sift(&mut self) {
-        if !self.sift_enabled
-            || self.total_bits == 0
-            || self.man.poisoned()
-            || self.man.node_count() < self.sift_threshold
-        {
-            return;
-        }
-        // Collect before judging size: most arena growth is operation
-        // garbage, and collection is far cheaper than a sifting pass.
-        // Sift only when the *live* set still exceeds the threshold.
-        let roots = self.engine_roots();
-        let remapped = self.man.gc(&roots);
-        self.install_roots(remapped);
-        self.gc_trigger = (4 * self.man.node_count()).max(GC_MIN_TRIGGER);
-        if self.man.node_count() < self.sift_threshold {
-            return;
-        }
-        let roots = self.engine_roots();
-        let blocks: Vec<Vec<u32>> = (0..self.total_bits)
-            .map(|i| vec![2 * i as u32, 2 * i as u32 + 1])
-            .collect();
-        let out = self.man.sift(&roots, &blocks, MAX_SIFT_BLOCKS);
-        self.install_roots(out.roots);
-        self.sift_events.push((out.nodes_before, out.nodes_after));
-        self.sift_threshold = out
-            .nodes_after
-            .saturating_mul(2)
-            .max(self.sift_fixed.unwrap_or(MIN_SIFT_TRIGGER));
     }
 
     fn bdd_var_index(&self, v: VarId, bit: usize, next: bool) -> u32 {
@@ -851,9 +784,9 @@ impl<'s> SymbolicSystem<'s> {
 
     /// Onion rings of reachability from `init`; `None` on timeout,
     /// cancellation, or node-count overflow (consult the budget and
-    /// [`BddManager::limit_exceeded`] for which). This is the only loop
-    /// that triggers sifting — rings live in the protected registry so a
-    /// mid-fixpoint reorder cannot orphan them.
+    /// [`BddManager::limit_exceeded`] for which). The rings live in the
+    /// protected registry, so the collection at the end of each ring
+    /// cannot orphan them.
     pub fn reachable(&mut self, budget: &Budget) -> Option<Vec<Bdd>> {
         let reach_id = self.protect(self.init);
         let mut ring_ids = vec![self.protect(self.init)];
@@ -862,7 +795,6 @@ impl<'s> SymbolicSystem<'s> {
             if budget.check_nodes(self.man.node_count()).is_some() {
                 break false;
             }
-            self.maybe_sift();
             let frontier = self.root(*ring_ids.last().expect("nonempty"));
             let img = self.image(frontier);
             let reach = self.root(reach_id);
@@ -1032,20 +964,11 @@ fn give_up_reason(enc: &SymbolicSystem<'_>, budget: &Budget) -> UnknownReason {
 }
 
 /// Folds the encoding's observability into the stats sink: manager
-/// counters, partition count, and one trace mark per sift.
+/// counters and partition count.
 fn finish_stats(stats: &mut Stats, enc: &SymbolicSystem<'_>) {
     stats.fixpoint_iterations += enc.fixpoint_count();
     stats.absorb_bdd(enc.manager());
     stats.bdd.partitions = stats.bdd.partitions.max(enc.partition_count() as u64);
-    if let Some(t) = stats.trace() {
-        for &(before, after) in enc.sift_log() {
-            t.mark(
-                "bdd",
-                "sift",
-                &format!("nodes_before={before} nodes_after={after}"),
-            );
-        }
-    }
 }
 
 /// Trait-dispatch entry point for the complete invariant check by
@@ -1396,7 +1319,7 @@ fn ltl_fix(
     // restricts to reachable states (cheaper fixpoints and sound
     // verdicts — fair cycles must be reachable from init), then the
     // backward Emerson–Lei pass runs under that restriction. The justice
-    // sets must survive any sift inside the forward sweep.
+    // sets must survive the collections inside the forward sweep.
     let justice_base = justice.first().map(|_| enc.protect(justice[0]));
     for &j in justice.iter().skip(1) {
         enc.protect(j);
@@ -1722,22 +1645,5 @@ mod tests {
             CheckResult::Unknown(UnknownReason::ResourceExhausted),
             "poisoned manager must demote to ResourceExhausted, not Holds"
         );
-    }
-
-    #[test]
-    fn forced_sift_keeps_verdicts() {
-        // A threshold of 1 forces a sift on every reachability ring; the
-        // verdicts and trace must match the unsifted run exactly.
-        let (sys, n) = counter(12);
-        let sifted = CheckOptions::default().with_bdd_sift_threshold(1);
-        let plain = CheckOptions::default().with_bdd_sift(false);
-        for p in [
-            Expr::var(n).le(Expr::int(12)),
-            Expr::var(n).lt(Expr::int(7)),
-        ] {
-            let a = check_invariant_t(&sys, &p, &sifted).unwrap();
-            let b = check_invariant_t(&sys, &p, &plain).unwrap();
-            assert_eq!(a, b, "sift changed the verdict on {p}");
-        }
     }
 }

@@ -300,15 +300,6 @@ pub struct CheckOptions {
     /// monolithic `trans` BDD. On by default — the monolithic relation is
     /// kept as a baseline/debugging path (`--bdd-monolithic`).
     pub bdd_partitioned: bool,
-    /// Symbolic engine: allow dynamic variable reordering (block sifting)
-    /// when the manager's live-node count crosses the growth threshold.
-    /// On by default; `--bdd-no-sift` disables it.
-    pub bdd_sift: bool,
-    /// Symbolic engine: live-node count that triggers the first sift.
-    /// `None` = adaptive (a multiple of the post-encoding node count,
-    /// doubling after each sift). A fixed value is mostly a test hook for
-    /// forcing sifts on small models.
-    pub bdd_sift_threshold: Option<usize>,
     /// Watchdog supervision handle: every budget poll stamps its
     /// heartbeat, and a poisoned handle makes polls report
     /// [`UnknownReason::HungWorker`]. `None` = unsupervised (the
@@ -332,8 +323,6 @@ impl Default for CheckOptions {
             sharing: true,
             share_hub: None,
             bdd_partitioned: true,
-            bdd_sift: true,
-            bdd_sift_threshold: None,
             supervision: None,
         }
     }
@@ -441,20 +430,6 @@ impl CheckOptions {
     /// transition relation in the symbolic engine.
     pub fn with_bdd_partitioned(mut self, on: bool) -> CheckOptions {
         self.bdd_partitioned = on;
-        self
-    }
-
-    /// Enables or disables dynamic variable reordering (sifting) in the
-    /// symbolic engine.
-    pub fn with_bdd_sift(mut self, on: bool) -> CheckOptions {
-        self.bdd_sift = on;
-        self
-    }
-
-    /// Fixes the live-node count that triggers sifting instead of the
-    /// adaptive default.
-    pub fn with_bdd_sift_threshold(mut self, nodes: usize) -> CheckOptions {
-        self.bdd_sift_threshold = Some(nodes);
         self
     }
 
@@ -580,18 +555,6 @@ impl CheckOptionsBuilder {
     /// symbolic transition relation.
     pub fn bdd_partitioned(mut self, on: bool) -> Self {
         self.opts.bdd_partitioned = on;
-        self
-    }
-
-    /// Enables or disables BDD variable sifting.
-    pub fn bdd_sift(mut self, on: bool) -> Self {
-        self.opts.bdd_sift = on;
-        self
-    }
-
-    /// Fixes the sift trigger threshold (live nodes).
-    pub fn bdd_sift_threshold(mut self, nodes: usize) -> Self {
-        self.opts.bdd_sift_threshold = Some(nodes);
         self
     }
 

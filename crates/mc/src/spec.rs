@@ -688,15 +688,6 @@ pub fn options_from_args(args: &[String]) -> Result<CheckOptions, String> {
     if bdd_mono {
         opts = opts.with_bdd_partitioned(false);
     }
-    if args.iter().any(|a| a == "--bdd-no-sift") {
-        opts = opts.with_bdd_sift(false);
-    }
-    if let Some(t) = flag_value(args, "--bdd-sift-threshold") {
-        let nodes: usize = t
-            .parse()
-            .map_err(|_| format!("--bdd-sift-threshold expects a node count, got `{t}`"))?;
-        opts = opts.with_bdd_sift_threshold(nodes);
-    }
     if let Some(m) = flag_value(args, "--max-bdd-nodes") {
         let max: usize = m
             .parse()

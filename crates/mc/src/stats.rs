@@ -25,6 +25,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use verdict_journal::json::quote;
+
 use crate::engine::EngineKind;
 
 /// Version of the stats / CLI JSON schema. Bumped whenever a field is
@@ -122,14 +124,15 @@ pub struct BddCounters {
     pub peak_live_nodes: u64,
     /// Transition-relation partitions (1 under `--bdd-monolithic`).
     pub partitions: u64,
-    /// Dynamic variable reorders (sifts) performed.
+    /// Always 0: the BDD manager has no dynamic variable reordering.
+    /// Kept so the schema-2 `sifts` key and its readers stay valid.
     pub sifts: u64,
-    /// Reachable nodes immediately before each sift, summed.
+    /// Always 0, like [`BddCounters::sifts`].
     pub sift_nodes_before: u64,
-    /// Reachable nodes immediately after each sift, summed.
+    /// Always 0, like [`BddCounters::sifts`].
     pub sift_nodes_after: u64,
     /// Bounded-cache evictions (wholesale `ite`/`and_exists` cache
-    /// clears: capacity pressure or a reorder invalidating entries).
+    /// clears on reaching capacity).
     pub cache_clears: u64,
 }
 
@@ -325,9 +328,9 @@ impl From<verdict_bdd::BddStats> for BddCounters {
             ite_cache_hits: s.ite_cache_hits,
             peak_live_nodes: s.peak_live_nodes,
             partitions: 0, // engine-level, filled in by the symbolic engine
-            sifts: s.reorders,
-            sift_nodes_before: s.sift_nodes_before,
-            sift_nodes_after: s.sift_nodes_after,
+            sifts: 0,
+            sift_nodes_before: 0,
+            sift_nodes_after: 0,
             cache_clears: s.cache_clears,
         }
     }
@@ -693,23 +696,6 @@ impl Stats {
     }
 }
 
-/// Minimal JSON string escaping for trace event payloads.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A shared JSONL event log (`--trace FILE`). One JSON object per line:
 ///
 /// ```json
@@ -773,10 +759,10 @@ impl TraceSink {
     /// Emits a free-form marker event (race winners, retry attempts, …).
     pub fn mark(&self, engine: &str, name: &str, detail: &str) {
         self.emit(&format!(
-            "\"kind\":\"mark\",\"engine\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"",
-            json_escape(engine),
-            json_escape(name),
-            json_escape(detail)
+            "\"kind\":\"mark\",\"engine\":{},\"name\":{},\"detail\":{}",
+            quote(engine),
+            quote(name),
+            quote(detail)
         ));
     }
 

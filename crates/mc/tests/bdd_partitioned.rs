@@ -1,7 +1,7 @@
 //! Cross-engine agreement for the partitioned symbolic engine.
 //!
-//! The partitioned transition relation, early quantification, dynamic
-//! sifting, and care-set property lowering are all pure optimizations:
+//! The partitioned transition relation, early quantification, garbage
+//! collection, and care-set property lowering are all pure optimizations:
 //! every verdict — including under `--certify` — must be identical to
 //! the monolithic relation and to k-induction. This suite pins that on
 //! the shipped case studies (`examples/models/*.vd`, the rollout
@@ -242,36 +242,20 @@ fn certify_survives_partitioning() {
 }
 
 #[test]
-fn forced_sift_mid_fixpoint_is_deterministic() {
-    // A sift threshold of 1 forces reordering inside every reachability
-    // fixpoint. Verdicts and traces must be bit-identical across runs
-    // and identical to the sift-free run.
+fn partitioned_reruns_are_deterministic() {
+    // Verdicts and traces must be bit-identical across runs.
     for seed in [3u64, 11, 17] {
         let (sys, n) = random_system(seed.wrapping_mul(6364136223846793005));
         let p = Expr::var(n).lt(Expr::int(2));
-        let sifted = partitioned(32).with_bdd_sift_threshold(1);
-        let quiet = partitioned(32).with_bdd_sift(false);
-        let a = check(&sys, &p, &sifted);
-        let b = check(&sys, &p, &sifted);
-        let c = check(&sys, &p, &quiet);
-        for (name, other) in [("rerun", &b), ("sift-off", &c)] {
-            assert_eq!(a.holds(), other.holds(), "seed {seed} vs {name}\n{sys}");
-            assert_eq!(
-                a.violated(),
-                other.violated(),
-                "seed {seed} vs {name}\n{sys}"
-            );
-        }
-        match (a.trace(), b.trace(), c.trace()) {
-            (Some(ta), Some(tb), Some(tc)) => {
+        let a = check(&sys, &p, &partitioned(32));
+        let b = check(&sys, &p, &partitioned(32));
+        assert_eq!(a.holds(), b.holds(), "seed {seed}\n{sys}");
+        assert_eq!(a.violated(), b.violated(), "seed {seed}\n{sys}");
+        match (a.trace(), b.trace()) {
+            (Some(ta), Some(tb)) => {
                 assert_eq!(ta.states, tb.states, "seed {seed}: reruns differ\n{sys}");
-                assert_eq!(
-                    ta.states.len(),
-                    tc.states.len(),
-                    "seed {seed}: sift changed trace length\n{sys}"
-                );
             }
-            (None, None, None) => {}
+            (None, None) => {}
             _ => panic!("seed {seed}: trace presence differs"),
         }
     }
@@ -333,28 +317,16 @@ fn tiny_node_ceiling_fails_promptly_on_a_large_model() {
 }
 
 #[test]
-fn partitioned_stats_report_partitions_and_sifts() {
+fn partitioned_stats_report_partitions() {
     let model = RolloutModel::build(&RolloutSpec::paper(Topology::test_topology()))
         .expect("valid topology");
     let sys = model.pinned(1, 1, 1);
     let mut stats = Stats::default();
     let r = engine(EngineKind::Bdd)
-        .check_invariant(
-            &sys,
-            &model.property,
-            &partitioned(24).with_bdd_sift_threshold(1),
-            &mut stats,
-        )
+        .check_invariant(&sys, &model.property, &partitioned(24), &mut stats)
         .unwrap();
     assert!(r.holds(), "{r}");
     assert!(stats.bdd.partitions > 1, "got {}", stats.bdd.partitions);
-    assert!(stats.bdd.sifts > 0, "forced threshold must sift");
-    assert!(
-        stats.bdd.sift_nodes_before >= stats.bdd.sift_nodes_after,
-        "sifting must not grow the arena: {} -> {}",
-        stats.bdd.sift_nodes_before,
-        stats.bdd.sift_nodes_after
-    );
     // Monolithic mode reports exactly one partition.
     let mut stats = Stats::default();
     let _ = engine(EngineKind::Bdd)

@@ -8,9 +8,23 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# Every temporary file and directory of this script lives under one
+# directory, removed however the script exits, a failed check included.
+trap 'rm -rf "${tmp_root:-}"' EXIT
+tmp_root=$(mktemp -d)
+
 cargo fmt --all --check
 cargo build --workspace --release
-cargo test --workspace -q
+# The suite must clean up after itself: run it with TMPDIR pointed at an
+# empty directory and fail if anything is left there.
+test_tmp="$tmp_root/cargo-test"
+mkdir "$test_tmp"
+TMPDIR="$test_tmp" cargo test --workspace -q
+if [[ -n "$(ls -A "$test_tmp")" ]]; then
+    echo "check.sh: cargo test left files behind in TMPDIR:" >&2
+    ls -A "$test_tmp" >&2
+    exit 1
+fi
 
 if [[ "${1:-}" != "--quick" ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
@@ -30,11 +44,6 @@ if [[ "${1:-}" != "--quick" ]]; then
     # database-reduction deletions: too slow for the unoptimized suite.
     cargo test --release -p verdict-sat --lib -q proof::
 fi
-
-# Every temporary file and directory of the lanes below lives under one
-# directory, removed however the script exits, a failed check included.
-trap 'rm -rf "${tmp_root:-}"' EXIT
-tmp_root=$(mktemp -d)
 
 # Certified verdicts on the case-study examples: every counterexample must
 # replay through the reference interpreter — any certificate rejection

@@ -15,6 +15,7 @@
 //! The fault registry is process-global, so every test here serializes
 //! on `fault::test_lock()`.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use verdict_journal::fault::{self, FaultKind, FaultPlan};
@@ -363,6 +364,16 @@ fn certification_budget_exhaustion_is_not_a_rejection() {
     );
 }
 
+/// A directory in the system temp directory, removed on drop so that a
+/// failing assertion cleans up too.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A journal whose backing file starts failing mid-sweep must disable
 /// itself (losing resumability, not correctness): the sweep still
 /// completes with the reference verdicts.
@@ -375,9 +386,9 @@ fn journal_append_fault_degrades_to_unjournaled() {
     let (sys, p) = step_system();
     let prop = step_property(&sys);
     let opts = sweep_opts();
-    let dir = std::env::temp_dir().join(format!("verdict-fault-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("append-fault.jsonl");
+    let dir = TempDir(std::env::temp_dir().join(format!("verdict-fault-{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0).expect("temp dir");
+    let path = dir.0.join("append-fault.jsonl");
     let _ = std::fs::remove_file(&path);
 
     let (recorder, resume) = verdict_mc::durable::start_sweep_journal(
@@ -412,7 +423,6 @@ fn journal_append_fault_degrades_to_unjournaled() {
             .all(|v| !matches!(v.result, CheckResult::Unknown(_))),
         "journal failure must not degrade verdicts"
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Unsupported kinds at a site are a no-op: the probe consumes the spec
