@@ -16,8 +16,8 @@ use verdict_dsl::{parse, CompiledProperty};
 use verdict_journal::json::quote;
 use verdict_journal::VerdictTag;
 use verdict_mc::{
-    certify, CheckOptions, CheckResult, EngineKind, PropertyKind, TraceSink, UnknownReason,
-    Verifier, STATS_SCHEMA_VERSION,
+    certify, params, CheckOptions, CheckResult, EngineKind, TraceSink, UnknownReason,
+    STATS_SCHEMA_VERSION,
 };
 
 mod scenarios_cmd;
@@ -312,6 +312,52 @@ fn engine_from(args: &[String]) -> Result<EngineKind, String> {
     }
 }
 
+/// The flags of USAGE's `OPTIONS (check/synth)` block that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--prop",
+    "--engine",
+    "--depth",
+    "--timeout",
+    "--jobs",
+    "--max-bdd-nodes",
+    "--retries",
+    "--retry-factor",
+    "--retry-backoff-ms",
+    "--journal",
+    "--resume",
+    "--fault",
+    "--fault-seed",
+    "--trace",
+];
+
+/// The flags of USAGE's `OPTIONS (check/synth)` block that take none.
+const SWITCHES: &[&str] = &[
+    "--first-safe",
+    "--incremental",
+    "--no-incremental",
+    "--no-sharing",
+    "--bdd-partitioned",
+    "--bdd-monolithic",
+    "--certify",
+    "--json",
+    "--stats",
+];
+
+/// Rejects any `--flag` that is neither in the OPTIONS block nor one of
+/// the command's own value flags `extra`; a value flag takes its value
+/// with it, so a value is never mistaken for a flag.
+fn reject_unknown_flags(args: &[String], extra: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg) || extra.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with("--") && !SWITCHES.contains(&arg) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+    }
+    Ok(())
+}
+
 fn check(args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("check: missing model path\n\n{USAGE}");
@@ -339,6 +385,10 @@ fn check(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = reject_unknown_flags(args, &[]) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let mut opts = match options_from(args) {
         Ok(o) => o,
         Err(e) => {
@@ -449,11 +499,6 @@ fn check(args: &[String]) -> ExitCode {
                 continue;
             }
         }
-        let kind = match property {
-            CompiledProperty::Invariant(_) => PropertyKind::Invariant,
-            CompiledProperty::Ltl(_) => PropertyKind::Ltl,
-            CompiledProperty::Ctl(_) => PropertyKind::Ctl,
-        };
         let max_attempts = opts.retry.as_ref().map_or(1, |p| p.max_attempts);
         let mut attempt = 1u32;
         let (result, used_engine, wall, mut stats, contenders) = loop {
@@ -463,18 +508,9 @@ fn check(args: &[String]) -> ExitCode {
                 Some(policy) if attempt > 1 => policy.escalate(&opts, attempt),
                 _ => opts.clone(),
             };
-            // Every engine dispatches through the report path: portfolio
-            // runs report which engine won the race; solo engines report
-            // themselves and carry their own stats.
-            let verifier = Verifier::new(&model.system)
-                .engine(engine)
-                .options(run_opts);
-            let report = match property {
-                CompiledProperty::Invariant(p) => verifier.check_invariant_report(p),
-                CompiledProperty::Ltl(f) => verifier.check_ltl_report(f),
-                CompiledProperty::Ctl(f) => verifier.check_ctl_report(f),
-            };
-            let report = match report {
+            // The report names the engine that ran (a portfolio's
+            // winner) and carries its stats.
+            let report = match verdict_mc::check(&model.system, property, engine, &run_opts) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("property `{name}`: {e}");
@@ -499,7 +535,7 @@ fn check(args: &[String]) -> ExitCode {
             );
         };
         stats.retries += u64::from(attempt - 1);
-        let cert = certify::status(opts.certify, used_engine, kind, &result);
+        let cert = certify::status(opts.certify, used_engine, property, &result);
         any_violated |= result.violated();
         infra_unknown |= infra_failure(&result);
         if let Some(rec) = &recorder {
@@ -699,14 +735,6 @@ fn synth(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let prop = match property {
-        CompiledProperty::Invariant(p) => verdict_mc::params::Property::Invariant(p.clone()),
-        CompiledProperty::Ltl(f) => verdict_mc::params::Property::Ltl(f.clone()),
-        CompiledProperty::Ctl(_) => {
-            eprintln!("synth supports invariant and ltl properties");
-            return ExitCode::FAILURE;
-        }
-    };
     let engine = match engine_from(args) {
         Ok(e) => e,
         Err(e) => {
@@ -714,6 +742,10 @@ fn synth(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = reject_unknown_flags(args, &["--params"]) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let opts = match options_from(args) {
         Ok(o) => o,
         Err(e) => {
@@ -727,10 +759,8 @@ fn synth(args: &[String]) -> ExitCode {
     }
     let opts = opts.with_stop(sigint::install());
     let json = args.iter().any(|a| a == "--json");
-    let verifier = Verifier::new(&model.system)
-        .engine(engine)
-        .options(opts.clone());
     let first_safe = args.iter().any(|a| a == "--first-safe");
+    let synth_engine = verdict_mc::engine::synthesis_engine(engine, property);
 
     let (journal_path, resume) = match journal_flags(args) {
         Ok(j) => j,
@@ -741,14 +771,13 @@ fn synth(args: &[String]) -> ExitCode {
     };
     let journal = match &journal_path {
         Some(p) => {
-            let engine = verifier.synthesis_engine(&prop);
             match verdict_mc::durable::start_sweep_journal(
                 Path::new(p),
                 resume,
                 &model.system,
                 &params,
-                &prop,
-                engine,
+                property,
+                synth_engine,
                 &opts,
             ) {
                 Ok(pair) => Some(pair),
@@ -778,11 +807,19 @@ fn synth(args: &[String]) -> ExitCode {
     };
 
     let started = std::time::Instant::now();
-    let synthesis = if first_safe {
-        verifier.synthesize_params_first_safe_durable(&params, &prop, &durability)
+    let sweep = if first_safe {
+        params::synthesize_first_safe_durable
     } else {
-        verifier.synthesize_params_durable(&params, &prop, &durability)
+        params::synthesize_durable
     };
+    let synthesis = sweep(
+        &model.system,
+        &params,
+        property,
+        synth_engine,
+        &opts,
+        &durability,
+    );
     match synthesis {
         Ok(result) => {
             if json {

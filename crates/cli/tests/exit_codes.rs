@@ -255,6 +255,60 @@ fn synth_honours_the_engine_flag() {
     );
 }
 
+/// A sample model shipped in `examples/models/`.
+fn example(name: &str) -> String {
+    format!(
+        "{}/../../examples/models/{name}",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+#[test]
+fn unknown_flags_exit_one() {
+    let step = example("step_counter.vd");
+    for (args, flag) in [
+        (["check", &step, "--timout", "5"].as_slice(), "--timout"),
+        (
+            ["check", &step, "--no-such-flag"].as_slice(),
+            "--no-such-flag",
+        ),
+        (
+            ["synth", &step, "--params", "step", "--bogus", "--json"].as_slice(),
+            "--bogus",
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(code(&out), 1, "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn check_names_the_engine_that_ran() {
+    // taint_loop's one property is LTL: `auto` and `kind` both hand it
+    // to bdd, and the row and its stats must say so.
+    let taint = example("taint_loop.vd");
+    for engine in [[].as_slice(), ["--engine", "kind"].as_slice()] {
+        let mut args = vec!["check", taint.as_str(), "--json", "--stats"];
+        args.extend_from_slice(engine);
+        let out = run(&args);
+        assert_eq!(code(&out), 2, "{args:?}: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("\"engine\":\"bdd\",\"certificate\""),
+            "row engine: {text}"
+        );
+        assert!(
+            text.contains("\"stats\":{\"schema\":2,\"engine\":\"bdd\""),
+            "stats engine: {text}"
+        );
+    }
+}
+
 #[test]
 fn conflicting_flags_exit_one() {
     let m = write_model("flags", SAFE_MODEL);

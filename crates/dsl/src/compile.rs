@@ -19,16 +19,9 @@ use crate::ast::*;
 use crate::lexer::line_col;
 use crate::parser::ParseError;
 
-/// A compiled property.
-#[derive(Clone, Debug)]
-pub enum CompiledProperty {
-    /// `invariant name: p` — check `G p`.
-    Invariant(Expr),
-    /// An LTL property.
-    Ltl(Ltl),
-    /// A CTL property.
-    Ctl(Ctl),
-}
+/// A compiled property: `invariant name: p` compiles to
+/// `Property::Invariant(p)` (check `G p`), `ltl`/`ctl` to the formula.
+pub use verdict_ts::Property as CompiledProperty;
 
 /// The result of compiling a source file.
 #[derive(Clone, Debug)]

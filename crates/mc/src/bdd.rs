@@ -1,7 +1,7 @@
 //! BDD fixpoint engine: complete verification for finite systems.
 //!
-//! Reached through the [`crate::engine::Engine`] trait
-//! (`engine(EngineKind::Bdd)`):
+//! Reached through [`crate::engine::check`] (`EngineKind::Bdd`, and
+//! LTL/CTL under `auto` and `kind`):
 //!
 //! * invariants — forward reachability with onion-ring trace
 //!   reconstruction.

@@ -35,7 +35,7 @@ use std::fmt;
 
 use verdict_logic::Formula;
 use verdict_sat::{check_proof, Solver};
-use verdict_ts::{replay, Expr, Ltl, System, Trace, TypeError, Unroller};
+use verdict_ts::{replay, Expr, Ltl, Property, System, Trace, TypeError, Unroller};
 
 use crate::engine::EngineKind;
 use crate::result::{Budget, CheckResult, UnknownReason};
@@ -88,25 +88,14 @@ impl fmt::Display for CertificateStatus {
     }
 }
 
-/// The property shape a run checked (certificates differ per shape).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PropertyKind {
-    /// `G p` for a state predicate `p`.
-    Invariant,
-    /// An LTL property.
-    Ltl,
-    /// A CTL property (no certificate format).
-    Ctl,
-}
-
 /// The certificate status implied by a finished run: which engine
-/// produced the verdict, on which property shape, with certification on
-/// or off. In certify mode a surviving definitive verdict has already
+/// produced the verdict, on which property, with certification on or
+/// off. In certify mode a surviving definitive verdict has already
 /// passed its check inside the engine, so this is a pure classification.
 pub fn status(
     certify: bool,
     engine: EngineKind,
-    kind: PropertyKind,
+    property: &Property,
     result: &CheckResult,
 ) -> CertificateStatus {
     if !certify {
@@ -115,15 +104,15 @@ pub fn status(
     match result {
         CheckResult::Unknown(UnknownReason::CertificateRejected) => CertificateStatus::Rejected,
         CheckResult::Unknown(_) => CertificateStatus::Unsupported,
-        CheckResult::Violated(_) => match kind {
-            PropertyKind::Ctl => CertificateStatus::Unsupported,
+        CheckResult::Violated(_) => match property {
+            Property::Ctl(_) => CertificateStatus::Unsupported,
             _ => CertificateStatus::Verified(CertificateKind::TraceReplay),
         },
-        CheckResult::Holds => match (engine, kind) {
-            (EngineKind::KInduction, PropertyKind::Invariant) => {
+        CheckResult::Holds => match (engine, property) {
+            (EngineKind::KInduction, Property::Invariant(_)) => {
                 CertificateStatus::Verified(CertificateKind::Induction)
             }
-            (EngineKind::Bdd, PropertyKind::Invariant) => {
+            (EngineKind::Bdd, Property::Invariant(_)) => {
                 CertificateStatus::Verified(CertificateKind::InductiveInvariant)
             }
             _ => CertificateStatus::Unsupported,
@@ -364,36 +353,26 @@ mod tests {
     fn status_classification() {
         use CertificateStatus as S;
         let holds = CheckResult::Holds;
+        let inv = Property::Invariant(Expr::tt());
         assert_eq!(
-            status(
-                false,
-                EngineKind::KInduction,
-                PropertyKind::Invariant,
-                &holds
-            ),
+            status(false, EngineKind::KInduction, &inv, &holds),
             S::NotRequested
         );
         assert_eq!(
-            status(
-                true,
-                EngineKind::KInduction,
-                PropertyKind::Invariant,
-                &holds
-            ),
+            status(true, EngineKind::KInduction, &inv, &holds),
             S::Verified(CertificateKind::Induction)
         );
         assert_eq!(
-            status(true, EngineKind::Bdd, PropertyKind::Invariant, &holds),
+            status(true, EngineKind::Bdd, &inv, &holds),
             S::Verified(CertificateKind::InductiveInvariant)
         );
         assert_eq!(
-            status(true, EngineKind::Explicit, PropertyKind::Invariant, &holds),
+            status(true, EngineKind::Explicit, &inv, &holds),
             S::Unsupported
         );
         let rejected = CheckResult::Unknown(UnknownReason::CertificateRejected);
-        assert_eq!(
-            status(true, EngineKind::Bmc, PropertyKind::Invariant, &rejected),
-            S::Rejected
-        );
+        assert_eq!(status(true, EngineKind::Bmc, &inv, &rejected), S::Rejected);
+        let ctl = Property::Ctl(verdict_ts::Ctl::atom(Expr::tt()));
+        assert_eq!(status(true, EngineKind::Bdd, &ctl, &holds), S::Unsupported);
     }
 }

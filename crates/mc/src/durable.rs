@@ -322,6 +322,8 @@ fn trust_verdict(
             let gated = match property {
                 Property::Invariant(p) => crate::certify::gate_invariant_cex(&pinned, p, trace),
                 Property::Ltl(phi) => crate::certify::gate_ltl_cex(&pinned, phi, trace),
+                // Sweeps reject CTL before a journal is opened.
+                Property::Ctl(_) => return None,
             };
             gated.violated().then_some(gated)
         }
@@ -347,7 +349,7 @@ pub fn start_sweep_journal(
     opts: &CheckOptions,
 ) -> Result<(SweepRecorder, ResumeState), McError> {
     let fp = sweep_fingerprint(sys, params, property, engine);
-    let (names, space) = validate_and_enumerate(sys, params)?;
+    let (names, space) = validate_and_enumerate(sys, params, property, engine)?;
     let header = Record::Header {
         version: verdict_journal::FORMAT_VERSION,
         fingerprint: fp,

@@ -1,11 +1,27 @@
-//! The unified engine API: one [`Engine`] trait implemented by all six
-//! engines, dispatched through the [`engine`] registry.
+//! One way into an engine: [`check`].
 //!
-//! Historically each engine grew a parallel family of free functions
-//! (`bmc::check_invariant`, `bdd::check_ctl`, …). Those could not each
-//! grow an observability channel, so the trait is the single seam now:
-//! every check takes a `&mut` [`Stats`] sink, and the portfolio,
-//! synthesis, durable, and retry layers all dispatch through it.
+//! Every verification in the workspace — the [`crate::Verifier`] façade,
+//! [`crate::spec::execute`], the CLI, the daemon's workers — answers
+//! through [`check`]. It is the only code that maps an engine request and
+//! a property to an engine entry point. It resolves the request:
+//!
+//! | request | invariant | LTL | CTL |
+//! |---|---|---|---|
+//! | `auto` | k-induction | bdd | bdd |
+//! | `kind` | k-induction | bdd | bdd |
+//! | `bmc`, `smt-bmc` | itself | itself | error |
+//! | `bdd`, `explicit` | itself | itself | itself |
+//! | `portfolio` | race bmc, k-induction, bdd | race bmc, bdd | race bdd, explicit |
+//!
+//! and a real-valued system runs `smt-bmc` under `auto` and `portfolio`.
+//! It then runs the resolved engine (or races the line-up through
+//! [`crate::portfolio::race`]), contains engine panics, counts the fault
+//! probes that fired, attaches the options' trace sink, and labels the
+//! [`CheckReport`] and its [`Stats`] with the engine that ran.
+//!
+//! [`engine`] is a thin adapter over [`check`] for callers that bring
+//! their own [`Stats`] sink: the report's counters, phase timers and
+//! depth samples are folded into it.
 //!
 //! ```
 //! use verdict_mc::prelude::*;
@@ -19,18 +35,21 @@
 //!     Expr::var(n).add(Expr::int(1)),
 //!     Expr::var(n),
 //! )));
-//! let mut stats = Stats::default();
-//! let r = engine(EngineKind::KInduction)
-//!     .check_invariant(&sys, &Expr::var(n).le(Expr::int(7)), &CheckOptions::default(), &mut stats)
-//!     .unwrap();
-//! assert!(r.holds());
-//! assert!(stats.sat.decisions > 0);
+//! let bounded = Property::Invariant(Expr::var(n).le(Expr::int(7)));
+//! let report = check(&sys, &bounded, EngineKind::Auto, &CheckOptions::default()).unwrap();
+//! assert!(report.result.holds());
+//! assert_eq!(report.winner, EngineKind::KInduction);
+//! assert!(report.stats.sat.decisions > 0);
 //! ```
 
-use verdict_journal::fault;
-use verdict_ts::{Ctl, Expr, Ltl, System};
+use std::time::Instant;
 
-use crate::result::{CheckOptions, CheckResult, McError};
+use verdict_journal::fault;
+use verdict_ts::{Ctl, Expr, Ltl, Property, System};
+
+use crate::params::SynthesisEngine;
+use crate::portfolio::{self, CheckReport, Contender};
+use crate::result::{CheckOptions, CheckResult, McError, UnknownReason};
 use crate::stats::Stats;
 
 /// Engine selection.
@@ -95,388 +114,189 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// A model-checking engine. All six engines implement this; obtain one
-/// from the [`engine`] registry and dispatch through it.
-///
-/// Engines are stateless (all run state lives per call), so the trait
-/// objects are `'static` zero-sized singletons. Checks record their
-/// counters, per-depth timings, and phase spans into `stats`; the sink is
-/// written even when the verdict is `Unknown` or the call errors early.
-///
-/// Panic containment is the *caller's* job (the [`crate::Verifier`]
-/// façade, portfolio workers, and synthesis workers all catch unwinds);
-/// the raw trait methods propagate engine panics.
-pub trait Engine: Sync {
-    /// Which engine this is.
-    fn kind(&self) -> EngineKind;
+/// The engine a request runs on `property` (see the module table):
+/// `auto` and `kind` send LTL/CTL to bdd, a real-valued system runs
+/// smt-bmc under `auto` and `portfolio`, and every other request runs
+/// as asked.
+fn resolve(kind: EngineKind, sys: &System, property: &Property) -> EngineKind {
+    match kind {
+        EngineKind::Auto | EngineKind::Portfolio if sys.has_real_vars() => EngineKind::SmtBmc,
+        EngineKind::Auto | EngineKind::KInduction => match property {
+            Property::Invariant(_) => EngineKind::KInduction,
+            Property::Ltl(_) | Property::Ctl(_) => EngineKind::Bdd,
+        },
+        other => other,
+    }
+}
 
+/// The complete engine a parameter sweep under request `kind` runs per
+/// assignment: bdd and explicit as asked, otherwise k-induction for
+/// invariants and bdd for temporal properties (which synthesis rejects
+/// for CTL, see [`crate::params`]).
+pub fn synthesis_engine(kind: EngineKind, property: &Property) -> SynthesisEngine {
+    match (kind, property) {
+        (EngineKind::Bdd, _) => SynthesisEngine::Bdd,
+        (EngineKind::Explicit, _) => SynthesisEngine::Explicit,
+        (_, Property::Invariant(_)) => SynthesisEngine::KInduction,
+        (_, Property::Ltl(_) | Property::Ctl(_)) => SynthesisEngine::Bdd,
+    }
+}
+
+/// Checks `property` on `sys` with the engine `kind` resolves to. The
+/// report names the engine that ran — a portfolio's winner — and so do
+/// its stats. An engine panic comes back as `Unknown(EngineFailure)`.
+pub fn check(
+    sys: &System,
+    property: &Property,
+    kind: EngineKind,
+    opts: &CheckOptions,
+) -> Result<CheckReport, McError> {
+    let ran = resolve(kind, sys, property);
+    let fired_before = fault::fired_count();
+    let fired = || fault::fired_count() - fired_before;
+    if ran == EngineKind::Portfolio {
+        let contenders = portfolio::line_up(property)
+            .iter()
+            .map(|&e| {
+                let contender =
+                    move |o: &CheckOptions, st: &mut Stats| run(e, sys, property, o, st);
+                (e, Box::new(contender) as Contender<'_>)
+            })
+            .collect();
+        let mut report = portfolio::race(opts, contenders)?;
+        report.stats.faults_injected += fired();
+        return Ok(report);
+    }
+    let start = Instant::now();
+    let mut stats = Stats::for_engine(ran).with_trace(opts.trace.clone());
+    let result = contained(ran, || run(ran, sys, property, opts, &mut stats))?;
+    stats.faults_injected += fired();
+    Ok(CheckReport {
+        winner: ran,
+        wall: start.elapsed(),
+        outcomes: vec![(ran, result.clone())],
+        contender_stats: vec![(ran, stats.clone())],
+        stats,
+        result,
+    })
+}
+
+/// The per-engine dispatch: the one place an engine's entry points are
+/// named. `kind` is already resolved (see [`resolve`]); parameter sweeps
+/// call it directly on each pinned system, containing panics themselves.
+pub(crate) fn run(
+    kind: EngineKind,
+    sys: &System,
+    property: &Property,
+    opts: &CheckOptions,
+    stats: &mut Stats,
+) -> Result<CheckResult, McError> {
+    use crate::{bdd, bmc, explicit_engine as explicit, smtbmc};
+    use EngineKind as E;
+    use Property as P;
+    match (kind, property) {
+        (E::Bmc, P::Invariant(p)) => bmc::run_invariant(sys, p, opts, stats),
+        (E::Bmc, P::Ltl(f)) => bmc::run_ltl(sys, f, opts, stats),
+        (E::KInduction, P::Invariant(p)) => crate::kind::run_invariant(sys, p, opts, stats),
+        (E::Bdd, P::Invariant(p)) => bdd::run_invariant(sys, p, opts, stats),
+        (E::Bdd, P::Ltl(f)) => bdd::run_ltl(sys, f, opts, stats),
+        (E::Bdd, P::Ctl(f)) => bdd::run_ctl(sys, f, opts, stats),
+        (E::Explicit, P::Invariant(p)) => explicit::run_invariant(sys, p, opts, stats),
+        (E::Explicit, P::Ltl(f)) => explicit::run_ltl(sys, f, opts, stats),
+        (E::Explicit, P::Ctl(f)) => explicit::run_ctl(sys, f, opts, stats),
+        (E::SmtBmc, P::Invariant(p)) => smtbmc::run_invariant(sys, p, opts, stats),
+        (E::SmtBmc, P::Ltl(f)) => smtbmc::run_ltl(sys, f, opts, stats),
+        (E::Bmc | E::SmtBmc, P::Ctl(_)) => Err(McError(
+            "CTL requires a complete engine (BDD or explicit)".to_string(),
+        )),
+        (E::Auto | E::KInduction | E::Portfolio, _) => Err(McError(format!(
+            "engine request `{kind}` reached dispatch unresolved"
+        ))),
+    }
+}
+
+/// Runs `f` with panic containment: an engine crash becomes
+/// `Unknown(EngineFailure)` instead of unwinding into the caller, and its
+/// message goes to stderr.
+pub(crate) fn contained(
+    engine: EngineKind,
+    f: impl FnOnce() -> Result<CheckResult, McError>,
+) -> Result<CheckResult, McError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let msg = panic_message(payload.as_ref());
+        eprintln!("verdict-mc: {engine} engine panicked: {msg}");
+        Ok(CheckResult::Unknown(UnknownReason::EngineFailure))
+    })
+}
+
+/// The message of a caught panic payload, for diagnostics.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
+/// A handle on one engine request, for callers that bring their own
+/// [`Stats`] sink. Each method is [`check`] with the report folded into
+/// the sink.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Engine(EngineKind);
+
+/// The handle for `kind`: `engine(kind).check_invariant(sys, p, opts, &mut stats)`.
+pub fn engine(kind: EngineKind) -> Engine {
+    Engine(kind)
+}
+
+impl Engine {
     /// Checks the safety property `G p`.
-    fn check_invariant(
-        &self,
+    pub fn check_invariant(
+        self,
         sys: &System,
         p: &Expr,
         opts: &CheckOptions,
         stats: &mut Stats,
-    ) -> Result<CheckResult, McError>;
+    ) -> Result<CheckResult, McError> {
+        self.check(sys, &Property::Invariant(p.clone()), opts, stats)
+    }
 
     /// Checks an LTL property.
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError>;
-
-    /// Checks a CTL property (complete engines only; bounded engines
-    /// return an error).
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError>;
-}
-
-/// Labels `stats` with the engine, runs `f`, and charges any
-/// fault-injection probes that fired during the run to the sink.
-fn instrumented<R>(kind: EngineKind, stats: &mut Stats, f: impl FnOnce(&mut Stats) -> R) -> R {
-    if stats.engine.is_none() {
-        stats.engine = Some(kind);
-    }
-    let fired_before = fault::fired_count();
-    let r = f(stats);
-    stats.faults_injected += fault::fired_count() - fired_before;
-    r
-}
-
-struct BmcEngine;
-
-impl Engine for BmcEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Bmc
-    }
-
-    fn check_invariant(
-        &self,
-        sys: &System,
-        p: &Expr,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bmc, stats, |s| {
-            crate::bmc::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
+    pub fn check_ltl(
+        self,
         sys: &System,
         phi: &Ltl,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bmc, stats, |s| {
-            crate::bmc::run_ltl(sys, phi, opts, s)
-        })
+        self.check(sys, &Property::Ltl(phi.clone()), opts, stats)
     }
 
-    fn check_ctl(
-        &self,
-        _sys: &System,
-        _phi: &Ctl,
-        _opts: &CheckOptions,
-        _stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        Err(McError(
-            "CTL requires a complete engine (BDD or explicit)".to_string(),
-        ))
-    }
-}
-
-struct KInductionEngine;
-
-impl Engine for KInductionEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::KInduction
-    }
-
-    fn check_invariant(
-        &self,
-        sys: &System,
-        p: &Expr,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::KInduction, stats, |s| {
-            crate::kind::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        // k-induction does not handle liveness; fall back to the complete
-        // finite engine (matches the historical Verifier behavior).
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
+    /// Checks a CTL property (complete engines only).
+    pub fn check_ctl(
+        self,
         sys: &System,
         phi: &Ctl,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ctl(sys, phi, opts, s)
-        })
-    }
-}
-
-struct BddEngine;
-
-impl Engine for BddEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Bdd
+        self.check(sys, &Property::Ctl(phi.clone()), opts, stats)
     }
 
-    fn check_invariant(
-        &self,
+    fn check(
+        self,
         sys: &System,
-        p: &Expr,
+        property: &Property,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ctl(sys, phi, opts, s)
-        })
-    }
-}
-
-struct ExplicitEngine;
-
-impl Engine for ExplicitEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Explicit
-    }
-
-    fn check_invariant(
-        &self,
-        sys: &System,
-        p: &Expr,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Explicit, stats, |s| {
-            crate::explicit_engine::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Explicit, stats, |s| {
-            crate::explicit_engine::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Explicit, stats, |s| {
-            crate::explicit_engine::run_ctl(sys, phi, opts, s)
-        })
-    }
-}
-
-struct SmtBmcEngine;
-
-impl Engine for SmtBmcEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::SmtBmc
-    }
-
-    fn check_invariant(
-        &self,
-        sys: &System,
-        p: &Expr,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::SmtBmc, stats, |s| {
-            crate::smtbmc::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::SmtBmc, stats, |s| {
-            crate::smtbmc::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        _sys: &System,
-        _phi: &Ctl,
-        _opts: &CheckOptions,
-        _stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        Err(McError(
-            "CTL requires a complete engine (BDD or explicit)".to_string(),
-        ))
-    }
-}
-
-struct PortfolioEngine;
-
-impl Engine for PortfolioEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Portfolio
-    }
-
-    fn check_invariant(
-        &self,
-        sys: &System,
-        p: &Expr,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Portfolio, stats, |s| {
-            crate::portfolio::run_invariant(sys, p, opts, s).map(|r| r.result)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Portfolio, stats, |s| {
-            crate::portfolio::run_ltl(sys, phi, opts, s).map(|r| r.result)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Portfolio, stats, |s| {
-            crate::portfolio::run_ctl(sys, phi, opts, s).map(|r| r.result)
-        })
-    }
-}
-
-struct AutoEngine;
-
-/// The engine `Auto` resolves to for `sys` (reported in CLI/JSON output):
-/// SMT-BMC for real-sorted systems, k-induction otherwise.
-pub fn resolve_auto(sys: &System) -> EngineKind {
-    if sys.has_real_vars() {
-        EngineKind::SmtBmc
-    } else {
-        EngineKind::KInduction
-    }
-}
-
-impl Engine for AutoEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Auto
-    }
-
-    fn check_invariant(
-        &self,
-        sys: &System,
-        p: &Expr,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        engine(resolve_auto(sys)).check_invariant(sys, p, opts, stats)
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        engine(resolve_auto(sys)).check_ltl(sys, phi, opts, stats)
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        engine(resolve_auto(sys)).check_ctl(sys, phi, opts, stats)
-    }
-}
-
-/// The engine registry: the singleton [`Engine`] implementation for a
-/// given [`EngineKind`]. This is the only place the per-engine entry
-/// points are wired up; everything else dispatches through the trait.
-pub fn engine(kind: EngineKind) -> &'static dyn Engine {
-    match kind {
-        EngineKind::Auto => &AutoEngine,
-        EngineKind::Bmc => &BmcEngine,
-        EngineKind::KInduction => &KInductionEngine,
-        EngineKind::Bdd => &BddEngine,
-        EngineKind::Explicit => &ExplicitEngine,
-        EngineKind::SmtBmc => &SmtBmcEngine,
-        EngineKind::Portfolio => &PortfolioEngine,
+        let report = check(sys, property, self.0, opts)?;
+        stats.engine.get_or_insert(report.winner);
+        stats.merge(&report.stats);
+        stats.depths.extend(report.stats.depths);
+        Ok(report.result)
     }
 }
 
@@ -484,32 +304,19 @@ pub fn engine(kind: EngineKind) -> &'static dyn Engine {
 mod tests {
     use super::*;
 
-    #[test]
-    fn registry_kinds_line_up() {
-        for kind in [
-            EngineKind::Auto,
-            EngineKind::Bmc,
-            EngineKind::KInduction,
-            EngineKind::Bdd,
-            EngineKind::Explicit,
-            EngineKind::SmtBmc,
-            EngineKind::Portfolio,
-        ] {
-            assert_eq!(engine(kind).kind(), kind);
-        }
-    }
+    const ALL: [EngineKind; 7] = [
+        EngineKind::Auto,
+        EngineKind::Bmc,
+        EngineKind::KInduction,
+        EngineKind::Bdd,
+        EngineKind::Explicit,
+        EngineKind::SmtBmc,
+        EngineKind::Portfolio,
+    ];
 
     #[test]
     fn from_tag_round_trips_and_accepts_aliases() {
-        for kind in [
-            EngineKind::Auto,
-            EngineKind::Bmc,
-            EngineKind::KInduction,
-            EngineKind::Bdd,
-            EngineKind::Explicit,
-            EngineKind::SmtBmc,
-            EngineKind::Portfolio,
-        ] {
+        for kind in ALL {
             assert_eq!(EngineKind::from_tag(kind.tag()), Some(kind));
         }
         assert_eq!(EngineKind::from_tag("kind"), Some(EngineKind::KInduction));
@@ -518,14 +325,69 @@ mod tests {
     }
 
     #[test]
+    fn resolution_table() {
+        use EngineKind as E;
+        let mut finite = System::new("finite");
+        let b = finite.bool_var("b");
+        let mut real = System::new("real");
+        real.real_var("x");
+        let inv = Property::Invariant(Expr::var(b));
+        let ltl = Property::Ltl(Ltl::atom(Expr::var(b)).eventually());
+        let ctl = Property::Ctl(Ctl::atom(Expr::var(b)).ef());
+        for (kind, want) in [
+            (E::Auto, [E::KInduction, E::Bdd, E::Bdd]),
+            (E::KInduction, [E::KInduction, E::Bdd, E::Bdd]),
+            (E::Bmc, [E::Bmc; 3]),
+            (E::Bdd, [E::Bdd; 3]),
+            (E::Explicit, [E::Explicit; 3]),
+            (E::SmtBmc, [E::SmtBmc; 3]),
+            (E::Portfolio, [E::Portfolio; 3]),
+        ] {
+            let got = [&inv, &ltl, &ctl].map(|p| resolve(kind, &finite, p));
+            assert_eq!(got, want, "{kind}");
+        }
+        for kind in [E::Auto, E::Portfolio] {
+            assert_eq!(resolve(kind, &real, &inv), E::SmtBmc, "{kind}");
+        }
+    }
+
+    #[test]
     fn bounded_engines_reject_ctl() {
         let sys = System::new("empty");
-        let phi = Ctl::atom(Expr::bool(true));
-        let mut stats = Stats::default();
+        let phi = Property::Ctl(Ctl::atom(Expr::bool(true)));
         for kind in [EngineKind::Bmc, EngineKind::SmtBmc] {
-            assert!(engine(kind)
-                .check_ctl(&sys, &phi, &CheckOptions::default(), &mut stats)
-                .is_err());
+            assert!(check(&sys, &phi, kind, &CheckOptions::default()).is_err());
         }
+    }
+
+    #[test]
+    fn every_run_is_labelled_with_the_engine_that_ran() {
+        let mut sys = System::new("flip");
+        let x = sys.bool_var("x");
+        sys.add_init(Expr::var(x));
+        sys.add_trans(Expr::next(x).eq(Expr::var(x).not()));
+        let phi = Ltl::atom(Expr::var(x)).always().eventually();
+        let ltl = Property::Ltl(phi.clone());
+        let opts = CheckOptions::with_depth(8);
+        for kind in ALL {
+            let report = check(&sys, &ltl, kind, &opts).unwrap();
+            assert!(report.result.violated(), "{kind}");
+            assert!(
+                !matches!(report.winner, EngineKind::Auto | EngineKind::Portfolio),
+                "{kind} reported {}",
+                report.winner
+            );
+            assert_eq!(report.stats.engine, Some(report.winner), "{kind}");
+        }
+        // k-induction hands LTL to bdd, and says so — in the report and
+        // through the adapter.
+        let report = check(&sys, &ltl, EngineKind::KInduction, &opts).unwrap();
+        assert_eq!(report.winner, EngineKind::Bdd);
+        let mut sink = Stats::default();
+        engine(EngineKind::Auto)
+            .check_ltl(&sys, &phi, &opts, &mut sink)
+            .unwrap();
+        assert_eq!(sink.engine, Some(EngineKind::Bdd));
+        assert!(sink.bdd.nodes_allocated > 0);
     }
 }

@@ -7,8 +7,8 @@
 //!   cycle that intersects every justice set is exactly a fair lasso,
 //! * CTL by direct fixpoint evaluation over explicit state sets,
 //!
-//! all behind the [`crate::engine::Engine`] trait
-//! (`engine(EngineKind::Explicit)`).
+//! all reached through [`crate::engine::check`]
+//! (`EngineKind::Explicit`).
 //!
 //! Everything here is exponential in the number of state bits; its role is
 //! to be *obviously correct* — the differential oracle the symbolic

@@ -44,12 +44,14 @@
 //!   interpreter, k-induction and BDD proofs re-checked by fresh
 //!   proof-logged SAT queries; failures demote the verdict to
 //!   [`UnknownReason::CertificateRejected`].
+//! * [`engine`](mod@engine) — the one dispatch, [`check()`]: it resolves
+//!   an [`EngineKind`] request against a [`Property`](prelude::Property), runs (or races)
+//!   the engine, contains its panics, and reports the engine that ran.
+//!   [`engine()`](engine::engine) adapts it to a caller-owned [`Stats`]
+//!   sink.
 //! * [`verifier`] — the [`Verifier`] façade implementing the Fig. 4
-//!   workflow: model + property + constraints in, verdict + trace or
-//!   suggested parameters out.
-//! * [`engine`](mod@engine) — the unified [`Engine`] trait implemented by every
-//!   engine above, plus the [`engine()`](engine::engine) registry that the
-//!   façade, portfolio, and synthesis layers dispatch through.
+//!   workflow over [`check()`]: model + property + constraints in,
+//!   verdict + trace or suggested parameters out.
 //! * [`stats`] — the structured observability sink ([`Stats`]): SAT /
 //!   simplex / BDD counters, per-depth timings, phase spans, and an
 //!   optional JSONL trace ([`stats::TraceSink`]).
@@ -68,13 +70,11 @@
 //!     Expr::var(n).add(Expr::int(1)),
 //!     Expr::var(n),
 //! )));
-//! let mut stats = Stats::default();
-//! let verdict = engine(EngineKind::KInduction)
-//!     .check_invariant(&sys, &Expr::var(n).le(Expr::int(7)),
-//!                      &CheckOptions::default(), &mut stats)
-//!     .unwrap();
-//! assert!(verdict.holds());
-//! assert!(stats.sat.decisions > 0);
+//! let bounded = Property::Invariant(Expr::var(n).le(Expr::int(7)));
+//! let report = check(&sys, &bounded, EngineKind::Auto, &CheckOptions::default()).unwrap();
+//! assert!(report.result.holds());
+//! assert_eq!(report.stats.engine, Some(EngineKind::KInduction));
+//! assert!(report.stats.sat.decisions > 0);
 //! ```
 
 pub mod bdd;
@@ -96,28 +96,27 @@ pub mod stats;
 pub mod tableau;
 pub mod verifier;
 
-pub use certify::{CertificateKind, CertificateStatus, PropertyKind};
+pub use certify::{CertificateKind, CertificateStatus};
 pub use durable::{Durability, ResumeState, SweepRecorder};
-pub use engine::{engine, Engine, EngineKind};
+pub use engine::{check, engine, Engine, EngineKind};
 pub use portfolio::CheckReport;
-pub use result::{
-    CheckOptions, CheckOptionsBuilder, CheckResult, McError, Supervision, UnknownReason,
-};
+pub use result::{CheckOptions, CheckResult, McError, Supervision, UnknownReason};
 pub use retry::RetryPolicy;
 pub use spec::{ExecContext, JobKind, JobSpec, SpecError, VerdictRow};
 pub use stats::{ServerCounters, Stats, SupervisionCounters, TraceSink, STATS_SCHEMA_VERSION};
 pub use verifier::Verifier;
 
-/// One-stop imports for the unified engine API.
+/// One-stop imports for checking.
 ///
-/// Brings in the [`Engine`] trait, the [`engine()`](engine::engine)
-/// registry function, [`EngineKind`], and the types every check touches:
-/// [`CheckOptions`], [`CheckResult`], [`CheckReport`], [`Stats`], and
-/// [`UnknownReason`].
+/// Brings in the [`check()`] dispatch and its inputs — [`Property`](verdict_ts::Property),
+/// [`EngineKind`], [`CheckOptions`] — and outputs: [`CheckReport`],
+/// [`CheckResult`], [`Stats`] and [`UnknownReason`]; plus the
+/// [`engine()`](engine::engine) adapter and the [`Verifier`] façade.
 pub mod prelude {
-    pub use crate::engine::{engine, Engine, EngineKind};
+    pub use crate::engine::{check, engine, EngineKind};
     pub use crate::portfolio::CheckReport;
     pub use crate::result::{CheckOptions, CheckResult, UnknownReason};
     pub use crate::stats::Stats;
     pub use crate::verifier::Verifier;
+    pub use verdict_ts::Property;
 }

@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use verdict_ring::{ring, Consumer, Doorbell, Published, PublishedReader};
 use verdict_sat::ClauseHub;
-use verdict_ts::{Expr, Ltl, System, Trace, Value, VarId};
+use verdict_ts::{Expr, System, Trace, Value, VarId};
 
 use verdict_journal::fault;
 
@@ -45,14 +45,9 @@ use crate::incremental::{HoldsPattern, PinnedKInduction, PinnedOutcome};
 use crate::result::{Budget, CheckOptions, CheckResult, McError, UnknownReason};
 use crate::stats::RuntimeCounters;
 
-/// The property being synthesized against.
-#[derive(Clone, Debug)]
-pub enum Property {
-    /// `G p` for a boolean state expression `p`.
-    Invariant(Expr),
-    /// An arbitrary LTL property.
-    Ltl(Ltl),
-}
+/// The property being synthesized against: an invariant or an LTL
+/// property (a sweep rejects CTL).
+pub use verdict_ts::Property;
 
 /// Verdict for one parameter assignment.
 #[derive(Clone, Debug)]
@@ -253,24 +248,11 @@ fn check_assignment(
     // Per-assignment counters land in a scratch sink: sweep-level
     // observability tracks verdicts and retries, not per-pin solver work.
     let mut stats = crate::stats::Stats::default();
-    let eng = crate::engine::engine(engine.kind());
-    match property {
-        Property::Invariant(p) => eng.check_invariant(&pinned, p, opts, &mut stats),
-        Property::Ltl(_) if engine == SynthesisEngine::KInduction => Err(McError(
-            "k-induction synthesizes safety properties only".to_string(),
-        )),
-        Property::Ltl(phi) => eng.check_ltl(&pinned, phi, opts, &mut stats),
-    }
+    crate::engine::run(engine.kind(), &pinned, property, opts, &mut stats)
 }
 
 fn report_panic(assignment: &[Value], payload: &(dyn std::any::Any + Send)) {
-    let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    };
+    let msg = crate::engine::panic_message(payload);
     let vals: Vec<String> = assignment.iter().map(Value::to_string).collect();
     eprintln!(
         "verdict-mc: synthesis worker panicked on ({}): {msg}",
@@ -563,14 +545,6 @@ fn run_assignments(
     stop_at_first_safe: bool,
     durability: &Durability<'_>,
 ) -> Result<(Vec<ParamVerdict>, RuntimeCounters), McError> {
-    if matches!(
-        (property, engine),
-        (Property::Ltl(_), SynthesisEngine::KInduction)
-    ) {
-        return Err(McError(
-            "k-induction synthesizes safety properties only".to_string(),
-        ));
-    }
     // The incremental path handles invariants under k-induction and is
     // the default there; `with_incremental(false)` forces the clone path.
     let inc_prop: Option<&Expr> = match (property, engine) {
@@ -832,10 +806,28 @@ fn run_assignments(
     Ok((verdicts, runtime))
 }
 
+/// The one gate on what a sweep can run: invariants and LTL properties
+/// (k-induction proves invariants only) over finite parameters. Returns
+/// the parameter names and the assignment space.
 pub(crate) fn validate_and_enumerate(
     sys: &System,
     params: &[VarId],
+    property: &Property,
+    engine: SynthesisEngine,
 ) -> Result<(Vec<String>, AssignmentSpace), McError> {
+    match (property, engine) {
+        (Property::Ctl(_), _) => {
+            return Err(McError(
+                "synthesis supports invariant and LTL properties".to_string(),
+            ))
+        }
+        (Property::Ltl(_), SynthesisEngine::KInduction) => {
+            return Err(McError(
+                "k-induction synthesizes safety properties only".to_string(),
+            ))
+        }
+        _ => {}
+    }
     for &p in params {
         if !sys.sort_of(p).is_finite() {
             return Err(McError(format!(
@@ -878,7 +870,7 @@ pub fn synthesize_durable(
     opts: &CheckOptions,
     durability: &Durability<'_>,
 ) -> Result<SynthesisResult, McError> {
-    let (param_names, space) = validate_and_enumerate(sys, params)?;
+    let (param_names, space) = validate_and_enumerate(sys, params, property, engine)?;
     let (verdicts, runtime) = run_assignments(
         sys, params, &space, property, engine, opts, false, durability,
     )?;
@@ -919,7 +911,7 @@ pub fn synthesize_first_safe_durable(
     opts: &CheckOptions,
     durability: &Durability<'_>,
 ) -> Result<SynthesisResult, McError> {
-    let (param_names, space) = validate_and_enumerate(sys, params)?;
+    let (param_names, space) = validate_and_enumerate(sys, params, property, engine)?;
     let (verdicts, runtime) = run_assignments(
         sys, params, &space, property, engine, opts, true, durability,
     )?;
@@ -938,12 +930,7 @@ pub fn find_violating_params(
     property: &Property,
     opts: &CheckOptions,
 ) -> Result<CheckResult, McError> {
-    let eng = crate::engine::engine(crate::engine::EngineKind::Bmc);
-    let mut stats = crate::stats::Stats::default();
-    match property {
-        Property::Invariant(p) => eng.check_invariant(sys, p, opts, &mut stats),
-        Property::Ltl(phi) => eng.check_ltl(sys, phi, opts, &mut stats),
-    }
+    crate::engine::check(sys, property, crate::engine::EngineKind::Bmc, opts).map(|r| r.result)
 }
 
 /// Guard for empty parameter lists in [`synthesize`] callers: with no
@@ -955,6 +942,7 @@ pub fn no_params_is_single_check(result: &SynthesisResult) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict_ts::Ltl;
 
     /// Step counter: n += p (saturating at 10); G(n != target) safety.
     fn step_counter() -> (System, VarId) {

@@ -13,16 +13,14 @@
 //! (the winning *engine* may differ run to run; it is reported in the
 //! [`CheckReport`]).
 //!
-//! Contender line-ups (finite-state systems):
+//! Contender line-ups (real-valued systems run a solo
+//! [`crate::smtbmc`] instead, see [`crate::engine::check`]):
 //!
 //! | property  | falsifier | provers          |
 //! |-----------|-----------|------------------|
 //! | invariant | [`crate::bmc`] | [`crate::kind`], [`crate::bdd`] |
 //! | LTL       | [`crate::bmc`] | [`crate::bdd`]  |
 //! | CTL       | —         | [`crate::bdd`], [`crate::explicit_engine`] |
-//!
-//! Real-valued systems fall back to a solo [`crate::smtbmc`] run — there
-//! is no second complete engine for QF_LRA models to race it against.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use verdict_ring::{ring, Consumer, Doorbell};
 use verdict_sat::ClauseHub;
-use verdict_ts::{Ctl, Expr, Ltl, System};
+use verdict_ts::Property;
 
 use crate::engine::EngineKind;
 use crate::result::{CheckOptions, CheckResult, McError, UnknownReason};
@@ -56,14 +54,12 @@ pub struct CheckReport {
     pub contender_stats: Vec<(EngineKind, Stats)>,
 }
 
-/// Best-effort extraction of a panic payload's message for diagnostics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
+/// The engines a portfolio races on `property`, in spawn order.
+pub(crate) fn line_up(property: &Property) -> &'static [EngineKind] {
+    match property {
+        Property::Invariant(_) => &[EngineKind::Bmc, EngineKind::KInduction, EngineKind::Bdd],
+        Property::Ltl(_) => &[EngineKind::Bmc, EngineKind::Bdd],
+        Property::Ctl(_) => &[EngineKind::Bdd, EngineKind::Explicit],
     }
 }
 
@@ -92,8 +88,8 @@ pub type Contender<'a> =
 /// Contenders are panic-isolated: a panicking engine is contained by its
 /// worker thread and recorded as `Unknown(EngineFailure)`, so one buggy
 /// contender cannot take down the race (the panic payload is reported on
-/// stderr). Public mainly so tests can inject custom contenders; the
-/// `check_*` wrappers cover the standard line-ups.
+/// stderr). Public so tests can inject custom contenders;
+/// [`crate::engine::check`] races the standard line-ups.
 pub fn race(
     opts: &CheckOptions,
     contenders: Vec<(EngineKind, Contender<'_>)>,
@@ -147,17 +143,12 @@ pub fn race(
                 // Contain contender panics: a crashing engine becomes an
                 // `Unknown(EngineFailure)` outcome instead of unwinding
                 // through the scope and aborting the whole race.
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let res = crate::engine::contained(engine, || {
                     // Fault-injection probe at site `mc.portfolio.worker`,
                     // inside the containment boundary so an injected
                     // panic exercises it.
                     verdict_journal::fault::panic_if_armed("mc.portfolio.worker");
                     run(&worker_opts, &mut stats)
-                }))
-                .unwrap_or_else(|payload| {
-                    let msg = panic_message(payload.as_ref());
-                    eprintln!("verdict-mc: {engine} engine panicked: {msg}");
-                    Ok(CheckResult::Unknown(UnknownReason::EngineFailure))
                 });
                 // Cannot fail: the ring holds 2 and this producer pushes
                 // exactly once. The guard rings the bell on drop.
@@ -291,167 +282,17 @@ pub fn race(
     }
 }
 
-/// Runs a single engine and wraps its verdict in a [`CheckReport`] (used
-/// when there is nothing to race, e.g. real-valued systems → SMT only).
-fn solo(
-    engine: EngineKind,
-    opts: &CheckOptions,
-    run: impl FnOnce(&CheckOptions, &mut Stats) -> Result<CheckResult, McError>,
-) -> Result<CheckReport, McError> {
-    let start = Instant::now();
-    let mut stats = Stats::for_engine(engine).with_trace(opts.trace.clone());
-    let result = run(opts, &mut stats)?;
-    Ok(CheckReport {
-        winner: engine,
-        wall: start.elapsed(),
-        outcomes: vec![(engine, result.clone())],
-        contender_stats: vec![(engine, stats.clone())],
-        stats,
-        result,
-    })
-}
-
-/// Folds a finished report's winning stats back into the caller's sink
-/// (adopting the winner's depth samples when the caller has none).
-fn fold_stats(stats: &mut Stats, report: &CheckReport) {
-    stats.merge(&report.stats);
-    if stats.depths.is_empty() {
-        stats.depths.clone_from(&report.stats.depths);
-    }
-}
-
-/// Trait-dispatch entry point for the invariant portfolio — BMC
-/// (falsifier) vs k-induction and BDD (provers) on finite systems, solo
-/// SMT-BMC on real-valued ones (see [`crate::engine::engine`]); the
-/// winner's counters are folded into `stats` and the full per-contender
-/// breakdown rides on the report.
-pub(crate) fn run_invariant(
-    sys: &System,
-    p: &Expr,
-    opts: &CheckOptions,
-    stats: &mut Stats,
-) -> Result<CheckReport, McError> {
-    let report = if sys.has_real_vars() {
-        solo(EngineKind::SmtBmc, opts, |o, st| {
-            crate::smtbmc::run_invariant(sys, p, o, st)
-        })
-    } else {
-        race(
-            opts,
-            vec![
-                (
-                    EngineKind::Bmc,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bmc::run_invariant(sys, p, o, st)
-                    }) as Contender<'_>,
-                ),
-                (
-                    EngineKind::KInduction,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::kind::run_invariant(sys, p, o, st)
-                    }),
-                ),
-                (
-                    EngineKind::Bdd,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bdd::run_invariant(sys, p, o, st)
-                    }),
-                ),
-            ],
-        )
-    }?;
-    fold_stats(stats, &report);
-    Ok(report)
-}
-
-/// Trait-dispatch entry point for the LTL portfolio — BMC fair-lasso
-/// search (falsifier) vs the complete BDD tableau engine, solo SMT-BMC on
-/// real-valued systems (see [`crate::engine::engine`]).
-pub(crate) fn run_ltl(
-    sys: &System,
-    phi: &Ltl,
-    opts: &CheckOptions,
-    stats: &mut Stats,
-) -> Result<CheckReport, McError> {
-    let report = if sys.has_real_vars() {
-        solo(EngineKind::SmtBmc, opts, |o, st| {
-            crate::smtbmc::run_ltl(sys, phi, o, st)
-        })
-    } else {
-        race(
-            opts,
-            vec![
-                (
-                    EngineKind::Bmc,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bmc::run_ltl(sys, phi, o, st)
-                    }) as Contender<'_>,
-                ),
-                (
-                    EngineKind::Bdd,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bdd::run_ltl(sys, phi, o, st)
-                    }),
-                ),
-            ],
-        )
-    }?;
-    fold_stats(stats, &report);
-    Ok(report)
-}
-
-/// Trait-dispatch entry point for the CTL portfolio — BDD fixpoints vs
-/// the explicit-state engine, both complete; whichever shape of state
-/// space is kinder wins (see [`crate::engine::engine`]).
-pub(crate) fn run_ctl(
-    sys: &System,
-    phi: &Ctl,
-    opts: &CheckOptions,
-    stats: &mut Stats,
-) -> Result<CheckReport, McError> {
-    if sys.has_real_vars() {
-        return Err(McError(
-            "CTL checking requires a finite-state system".to_string(),
-        ));
-    }
-    let report = race(
-        opts,
-        vec![
-            (
-                EngineKind::Bdd,
-                Box::new(|o: &CheckOptions, st: &mut Stats| crate::bdd::run_ctl(sys, phi, o, st))
-                    as Contender<'_>,
-            ),
-            (
-                EngineKind::Explicit,
-                Box::new(|o: &CheckOptions, st: &mut Stats| {
-                    crate::explicit_engine::run_ctl(sys, phi, o, st)
-                }),
-            ),
-        ],
-    )?;
-    fold_stats(stats, &report);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict_ts::{Ctl, Expr, Ltl, System};
 
-    fn check_invariant_t(
+    fn check_t(
         sys: &System,
-        p: &Expr,
+        property: Property,
         opts: &CheckOptions,
     ) -> Result<CheckReport, McError> {
-        run_invariant(sys, p, opts, &mut Stats::default())
-    }
-
-    fn check_ltl_t(sys: &System, phi: &Ltl, opts: &CheckOptions) -> Result<CheckReport, McError> {
-        run_ltl(sys, phi, opts, &mut Stats::default())
-    }
-
-    fn check_ctl_t(sys: &System, phi: &Ctl, opts: &CheckOptions) -> Result<CheckReport, McError> {
-        run_ctl(sys, phi, opts, &mut Stats::default())
+        crate::engine::check(sys, &property, EngineKind::Portfolio, opts)
     }
 
     fn counter(limit: i64) -> (System, verdict_ts::VarId) {
@@ -470,7 +311,12 @@ mod tests {
     fn portfolio_proves_and_falsifies() {
         let (sys, n) = counter(7);
         let opts = CheckOptions::default();
-        let holds = check_invariant_t(&sys, &Expr::var(n).le(Expr::int(7)), &opts).unwrap();
+        let holds = check_t(
+            &sys,
+            Property::Invariant(Expr::var(n).le(Expr::int(7))),
+            &opts,
+        )
+        .unwrap();
         assert!(holds.result.holds(), "{}", holds.result);
         // BMC cannot prove, so the winner must be a prover.
         assert!(matches!(
@@ -478,7 +324,12 @@ mod tests {
             EngineKind::KInduction | EngineKind::Bdd
         ));
 
-        let viol = check_invariant_t(&sys, &Expr::var(n).lt(Expr::int(5)), &opts).unwrap();
+        let viol = check_t(
+            &sys,
+            Property::Invariant(Expr::var(n).lt(Expr::int(5))),
+            &opts,
+        )
+        .unwrap();
         assert!(viol.result.violated());
         assert!(!viol.outcomes.is_empty());
         assert!(viol.outcomes.iter().any(|(e, _)| *e == viol.winner));
@@ -489,7 +340,11 @@ mod tests {
         let (sys, n) = counter(7);
         let stop = Arc::new(AtomicBool::new(true)); // raised before the race
         let opts = CheckOptions::default().with_stop(stop);
-        let r = check_invariant_t(&sys, &Expr::var(n).le(Expr::int(7)), &opts);
+        let r = check_t(
+            &sys,
+            Property::Invariant(Expr::var(n).le(Expr::int(7))),
+            &opts,
+        );
         // Workers may still finish (tiny model) or come back Cancelled —
         // but the call must return, not hang, and never report Violated.
         let report = r.unwrap();
@@ -504,7 +359,7 @@ mod tests {
         sys.add_trans(Expr::next(x).eq(Expr::var(x).not()));
         let phi = Ltl::atom(Expr::var(x)).always().eventually();
         let opts = CheckOptions::default();
-        let racy = check_ltl_t(&sys, &phi, &opts).unwrap();
+        let racy = check_t(&sys, Property::Ltl(phi.clone()), &opts).unwrap();
         let seq = crate::bdd::run_ltl(&sys, &phi, &opts, &mut Stats::default()).unwrap();
         assert_eq!(racy.result.violated(), seq.violated());
     }
@@ -512,9 +367,9 @@ mod tests {
     #[test]
     fn report_carries_winner_and_contender_stats() {
         let (sys, n) = counter(7);
-        let report = check_invariant_t(
+        let report = check_t(
             &sys,
-            &Expr::var(n).lt(Expr::int(5)),
+            Property::Invariant(Expr::var(n).lt(Expr::int(5))),
             &CheckOptions::default(),
         )
         .unwrap();
@@ -531,7 +386,7 @@ mod tests {
     fn ctl_portfolio() {
         let (sys, n) = counter(7);
         let phi = Ctl::atom(Expr::var(n).eq(Expr::int(7))).ef();
-        let r = check_ctl_t(&sys, &phi, &CheckOptions::default()).unwrap();
+        let r = check_t(&sys, Property::Ctl(phi), &CheckOptions::default()).unwrap();
         assert!(r.result.holds());
         assert!(matches!(r.winner, EngineKind::Bdd | EngineKind::Explicit));
     }

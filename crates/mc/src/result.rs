@@ -329,27 +329,6 @@ impl Default for CheckOptions {
 }
 
 impl CheckOptions {
-    /// A fluent builder over every knob; finish with
-    /// [`CheckOptionsBuilder::build`].
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use verdict_mc::CheckOptions;
-    ///
-    /// let opts = CheckOptions::builder()
-    ///     .max_depth(32)
-    ///     .timeout(Duration::from_secs(5))
-    ///     .certify(true)
-    ///     .build();
-    /// assert_eq!(opts.max_depth, 32);
-    /// assert!(opts.certify);
-    /// ```
-    pub fn builder() -> CheckOptionsBuilder {
-        CheckOptionsBuilder {
-            opts: CheckOptions::default(),
-        }
-    }
-
     /// Options with a depth bound.
     pub fn with_depth(max_depth: usize) -> CheckOptions {
         CheckOptions {
@@ -474,99 +453,6 @@ impl CheckOptions {
         self.jobs
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1)
-    }
-}
-
-/// Fluent builder for [`CheckOptions`]; see [`CheckOptions::builder`].
-#[derive(Clone, Debug)]
-pub struct CheckOptionsBuilder {
-    opts: CheckOptions,
-}
-
-impl CheckOptionsBuilder {
-    /// Sets the maximum unrolling depth.
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.opts.max_depth = depth;
-        self
-    }
-
-    /// Sets the wall-clock budget.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.opts.timeout = Some(timeout);
-        self
-    }
-
-    /// Attaches a shared cancellation flag.
-    pub fn stop(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.opts.stop = Some(stop);
-        self
-    }
-
-    /// Sets the worker-thread count for parallel operations.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.opts.jobs = Some(jobs);
-        self
-    }
-
-    /// Enables or disables verdict certification.
-    pub fn certify(mut self, on: bool) -> Self {
-        self.opts.certify = on;
-        self
-    }
-
-    /// Caps the SAT clause database (memory backstop).
-    pub fn max_clauses(mut self, max: usize) -> Self {
-        self.opts.max_clauses = Some(max);
-        self
-    }
-
-    /// Caps the BDD node count (memory backstop).
-    pub fn max_bdd_nodes(mut self, max: usize) -> Self {
-        self.opts.max_bdd_nodes = Some(max);
-        self
-    }
-
-    /// Forces the incremental synthesis sweep on or off.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.opts.incremental = Some(on);
-        self
-    }
-
-    /// Attaches a retry policy for infrastructure failures.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.opts.retry = Some(policy);
-        self
-    }
-
-    /// Attaches a shared structured-trace sink.
-    pub fn trace(mut self, sink: Arc<TraceSink>) -> Self {
-        self.opts.trace = Some(sink);
-        self
-    }
-
-    /// Enables or disables learned-clause sharing between parallel
-    /// solvers.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.opts.sharing = on;
-        self
-    }
-
-    /// Selects the partitioned (true, default) or monolithic (false)
-    /// symbolic transition relation.
-    pub fn bdd_partitioned(mut self, on: bool) -> Self {
-        self.opts.bdd_partitioned = on;
-        self
-    }
-
-    /// Attaches a watchdog supervision handle (heartbeat + poison flag).
-    pub fn supervision(mut self, sup: Arc<Supervision>) -> Self {
-        self.opts.supervision = Some(sup);
-        self
-    }
-
-    /// Finalizes the options.
-    pub fn build(self) -> CheckOptions {
-        self.opts
     }
 }
 
@@ -725,33 +611,23 @@ mod tests {
     }
 
     #[test]
-    fn options_builder() {
+    fn with_methods_set_their_knobs() {
         let o = CheckOptions::with_depth(10).with_timeout(Duration::from_secs(1));
         assert_eq!(o.max_depth, 10);
         assert!(o.deadline().is_some());
         assert!(o.effective_jobs() >= 1);
-        assert_eq!(o.with_jobs(3).effective_jobs(), 3);
-    }
-
-    #[test]
-    fn fluent_builder_mirrors_with_methods() {
-        let built = CheckOptions::builder()
-            .max_depth(12)
-            .timeout(Duration::from_secs(3))
-            .jobs(2)
-            .certify(true)
-            .max_clauses(1000)
-            .max_bdd_nodes(2000)
-            .incremental(false)
-            .build();
-        assert_eq!(built.max_depth, 12);
-        assert_eq!(built.timeout, Some(Duration::from_secs(3)));
-        assert_eq!(built.jobs, Some(2));
-        assert!(built.certify);
-        assert_eq!(built.max_clauses, Some(1000));
-        assert_eq!(built.max_bdd_nodes, Some(2000));
-        assert_eq!(built.incremental, Some(false));
-        assert!(built.retry.is_none() && built.trace.is_none());
+        assert_eq!(o.clone().with_jobs(3).effective_jobs(), 3);
+        let o = o
+            .with_certify()
+            .with_max_clauses(1000)
+            .with_max_bdd_nodes(2000)
+            .with_incremental(false);
+        assert_eq!(o.timeout, Some(Duration::from_secs(1)));
+        assert!(o.certify);
+        assert_eq!(o.max_clauses, Some(1000));
+        assert_eq!(o.max_bdd_nodes, Some(2000));
+        assert_eq!(o.incremental, Some(false));
+        assert!(o.retry.is_none() && o.trace.is_none());
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   parse, the engine tag must resolve, named properties and
 //!   parameters must exist. The CLI calls it before running; the server
 //!   calls it before journaling.
-//! * [`execute`] — runs a validated spec through the engine registry to
-//!   [`VerdictRow`]s. The server's workers, the scenario sweep, and
-//!   tests all execute jobs through this one function, which is what
-//!   makes "local and remote verdicts agree" structural rather than
-//!   aspirational.
+//! * [`execute`] — runs a validated spec through [`crate::engine::check`]
+//!   (one call per property) or a parameter sweep to [`VerdictRow`]s. The
+//!   server's workers, the scenario sweep, and tests all execute jobs
+//!   through this one function, which is what makes "local and remote
+//!   verdicts agree" structural rather than aspirational.
 //! * [`options_from_args`] — the shared `--depth/--timeout/--jobs/…` →
 //!   [`CheckOptions`] flag parser.
 
@@ -30,11 +30,10 @@ use std::time::Duration;
 
 use verdict_journal::json::Json;
 
-use crate::engine::EngineKind;
+use crate::engine::{check, synthesis_engine, EngineKind};
 use crate::result::{CheckOptions, CheckResult, Supervision, UnknownReason};
 use crate::retry::RetryPolicy;
 use crate::stats::{Stats, TraceSink};
-use crate::verifier::Verifier;
 
 /// Builds a JSON object from ordered pairs.
 fn obj(pairs: Vec<(&str, Json)>) -> Json {
@@ -465,7 +464,7 @@ pub struct ExecContext {
     pub jobs: usize,
 }
 
-/// Runs a spec to a verdict-row list through the engine registry. This
+/// Runs a spec to a verdict-row list through [`crate::engine::check`]. This
 /// is the single execution path behind the server's workers, the
 /// scenario sweep's local mode, and the agreement tests — a spec
 /// executed here and a spec shipped over the socket run byte-identical
@@ -509,46 +508,34 @@ pub fn execute(spec: &JobSpec, ctx: &ExecContext) -> (Vec<VerdictRow>, Option<St
     if let Some(sink) = &ctx.sink {
         opts = opts.with_trace(Arc::clone(sink));
     }
+    let failed = |name: &str, detail: String| VerdictRow {
+        name: name.to_string(),
+        verdict: "unknown".into(),
+        reason: Some(UnknownReason::EngineFailure.tag().into()),
+        engine: engine_tag.to_string(),
+        detail,
+    };
+    let mut selected = model
+        .properties
+        .iter()
+        .filter(|(n, _)| spec.prop.as_deref().is_none_or(|p| p == n));
     match spec.kind {
         JobKind::Check => {
             let mut rows = Vec::new();
             let mut agg = Stats::default();
-            for (name, property) in model
-                .properties
-                .iter()
-                .filter(|(n, _)| spec.prop.as_deref().is_none_or(|p| p == n))
-            {
-                let verifier = Verifier::new(&model.system)
-                    .engine(engine)
-                    .options(opts.clone());
-                let report = match property {
-                    verdict_dsl::CompiledProperty::Invariant(p) => {
-                        verifier.check_invariant_report(p)
-                    }
-                    verdict_dsl::CompiledProperty::Ltl(f) => verifier.check_ltl_report(f),
-                    verdict_dsl::CompiledProperty::Ctl(f) => verifier.check_ctl_report(f),
-                };
-                match report {
+            for (name, property) in selected {
+                match check(&model.system, property, engine, &opts) {
                     Ok(r) => {
                         agg.merge(&r.stats);
                         rows.push(VerdictRow {
                             name: name.clone(),
                             verdict: verdict_tag(&r.result).to_string(),
-                            reason: match &r.result {
-                                CheckResult::Unknown(reason) => Some(reason.tag().to_string()),
-                                _ => None,
-                            },
+                            reason: unknown_reason(&r.result),
                             engine: r.winner.to_string(),
                             detail: r.result.to_string(),
                         });
                     }
-                    Err(e) => rows.push(VerdictRow {
-                        name: name.clone(),
-                        verdict: "unknown".into(),
-                        reason: Some(UnknownReason::EngineFailure.tag().into()),
-                        engine: engine_tag.to_string(),
-                        detail: e.to_string(),
-                    }),
+                    Err(e) => rows.push(failed(name, e.to_string())),
                 }
             }
             (rows, Some(agg))
@@ -559,35 +546,11 @@ pub fn execute(spec: &JobSpec, ctx: &ExecContext) -> (Vec<VerdictRow>, Option<St
                 .iter()
                 .filter_map(|p| model.system.var_by_name(p))
                 .collect();
-            let (name, property) = match model
-                .properties
-                .iter()
-                .find(|(n, _)| spec.prop.as_deref().is_none_or(|p| p == n))
-            {
-                Some(pair) => pair,
-                None => return (Vec::new(), None),
+            let Some((name, property)) = selected.next() else {
+                return (Vec::new(), None);
             };
-            let prop = match property {
-                verdict_dsl::CompiledProperty::Invariant(p) => {
-                    crate::params::Property::Invariant(p.clone())
-                }
-                verdict_dsl::CompiledProperty::Ltl(f) => crate::params::Property::Ltl(f.clone()),
-                verdict_dsl::CompiledProperty::Ctl(_) => {
-                    return (
-                        vec![VerdictRow {
-                            name: name.clone(),
-                            verdict: "unknown".into(),
-                            reason: Some(UnknownReason::EngineFailure.tag().into()),
-                            engine: engine_tag.to_string(),
-                            detail: "synth supports invariant and ltl properties".into(),
-                        }],
-                        None,
-                    );
-                }
-            };
-            let verifier = Verifier::new(&model.system).engine(engine).options(opts);
-            let synth_engine = verifier.synthesis_engine(&prop);
-            match verifier.synthesize_params_durable(&params, &prop, &crate::Durability::none()) {
+            let synth_engine = synthesis_engine(engine, property);
+            match crate::params::synthesize(&model.system, &params, property, synth_engine, &opts) {
                 Ok(result) => {
                     let rows = result
                         .verdicts
@@ -602,29 +565,25 @@ pub fn execute(spec: &JobSpec, ctx: &ExecContext) -> (Vec<VerdictRow>, Option<St
                             VerdictRow {
                                 name: assignment.join(","),
                                 verdict: verdict_tag(&v.result).to_string(),
-                                reason: match &v.result {
-                                    CheckResult::Unknown(r) => Some(r.tag().to_string()),
-                                    _ => None,
-                                },
-                                engine: format!("{synth_engine:?}").to_lowercase(),
+                                reason: unknown_reason(&v.result),
+                                engine: synth_engine.kind().to_string(),
                                 detail: v.result.to_string(),
                             }
                         })
                         .collect();
                     (rows, None)
                 }
-                Err(e) => (
-                    vec![VerdictRow {
-                        name: name.clone(),
-                        verdict: "unknown".into(),
-                        reason: Some(UnknownReason::EngineFailure.tag().into()),
-                        engine: engine_tag.to_string(),
-                        detail: e.to_string(),
-                    }],
-                    None,
-                ),
+                Err(e) => (vec![failed(name, e.to_string())], None),
             }
         }
+    }
+}
+
+/// The [`UnknownReason`] tag of an undecided verdict.
+fn unknown_reason(r: &CheckResult) -> Option<String> {
+    match r {
+        CheckResult::Unknown(reason) => Some(reason.tag().to_string()),
+        _ => None,
     }
 }
 
@@ -831,15 +790,22 @@ mod tests {
 
     #[test]
     fn execute_checks_and_synthesizes() {
-        let spec = JobSpec::check(COUNTER);
         // p is frozen and unconstrained, so `miss5` is violated for p=1
-        // (0,1,2,3,4,5) and `in_range` holds.
-        let (rows, stats) = execute(&spec, &ExecContext::default());
-        assert_eq!(rows.len(), 2);
+        // (0,1,2,3,4,5) and `in_range` holds. Under `auto` the invariants
+        // run on k-induction and the LTL property on bdd, and each row
+        // names the engine that ran.
+        let source = COUNTER.replace(
+            "invariant miss5",
+            "ltl climbs: F (n >= 3);\n        invariant miss5",
+        );
+        let (rows, stats) = execute(&JobSpec::check(&source), &ExecContext::default());
+        assert_eq!(rows.len(), 3);
         assert!(stats.is_some());
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
         assert_eq!(by_name("in_range").verdict, "safe");
         assert_eq!(by_name("miss5").verdict, "unsafe");
+        assert_eq!(by_name("in_range").engine, "k-induction");
+        assert_eq!(by_name("climbs").engine, "bdd");
 
         let mut synth = JobSpec::synth(COUNTER, &["p"]);
         synth.prop = Some("miss5".into());
@@ -848,6 +814,13 @@ mod tests {
         let unsafe_rows: Vec<_> = rows.iter().filter(|r| r.verdict == "unsafe").collect();
         assert_eq!(unsafe_rows.len(), 1);
         assert_eq!(unsafe_rows[0].name, "p=1");
+        for row in &rows {
+            assert_eq!(
+                EngineKind::from_tag(&row.engine),
+                Some(EngineKind::KInduction),
+                "{row:?}"
+            );
+        }
     }
 
     #[test]

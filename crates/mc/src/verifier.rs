@@ -24,37 +24,17 @@
 //! assert!(bad.violated());
 //! ```
 
-use verdict_ts::{Ctl, Expr, Ltl, System, VarId};
+use verdict_ts::{Ctl, Expr, Ltl, Property, System, VarId};
 
-use crate::durable::Durability;
-use crate::engine::{engine, EngineKind};
-use crate::params::{self, Property, SynthesisEngine, SynthesisResult};
-use crate::result::{CheckOptions, CheckResult, McError, UnknownReason};
-use crate::stats::Stats;
+use crate::engine::{check, synthesis_engine, EngineKind};
+use crate::params::{self, SynthesisResult};
+use crate::portfolio::CheckReport;
+use crate::result::{CheckOptions, CheckResult, McError};
 
-/// Runs a solo engine with panic containment: an engine crash becomes
-/// `Unknown(EngineFailure)` instead of unwinding into the caller, so a
-/// CLI run survives a dying solver the same way portfolio contenders and
-/// synthesis workers do.
-fn contained(
-    engine: EngineKind,
-    f: impl FnOnce() -> Result<CheckResult, McError>,
-) -> Result<CheckResult, McError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-            s
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s
-        } else {
-            "non-string panic payload"
-        };
-        eprintln!("verdict-mc: {engine} engine panicked: {msg}");
-        Ok(CheckResult::Unknown(UnknownReason::EngineFailure))
-    })
-}
-
-/// The verification façade. Borrowing the system keeps the API cheap to
-/// use in parameter sweeps; all state lives in the engines per call.
+/// The verification façade: a system, an engine request and options,
+/// over [`crate::engine::check`]. Borrowing the system keeps the API
+/// cheap to use in parameter sweeps; all state lives in the engines per
+/// call.
 pub struct Verifier<'s> {
     sys: &'s System,
     engine: EngineKind,
@@ -83,239 +63,52 @@ impl<'s> Verifier<'s> {
         self
     }
 
-    /// The engine a check will actually use once `Auto` is resolved
-    /// against the system's sorts (reported in CLI/JSON output).
-    pub fn effective_engine(&self) -> EngineKind {
-        match self.engine {
-            EngineKind::Auto => crate::engine::resolve_auto(self.sys),
-            e => e,
-        }
-    }
-
-    /// Hands back `stats` with the options' trace sink attached when the
-    /// caller didn't bring one of their own.
-    fn wire_trace(&self, stats: &mut Stats) {
-        if stats.trace().is_none() {
-            if let Some(sink) = &self.opts.trace {
-                *stats = std::mem::take(stats).with_trace(Some(sink.clone()));
-            }
-        }
+    fn report(&self, property: Property) -> Result<CheckReport, McError> {
+        check(self.sys, &property, self.engine, &self.opts)
     }
 
     /// Checks the safety property `G p`.
     pub fn check_invariant(&self, p: &Expr) -> Result<CheckResult, McError> {
-        self.check_invariant_stats(p, &mut Stats::default())
+        self.check_invariant_report(p).map(|r| r.result)
     }
 
-    /// Like [`Verifier::check_invariant`], recording engine counters and
-    /// phase timings into `stats`.
-    pub fn check_invariant_stats(
-        &self,
-        p: &Expr,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        let kind = self.effective_engine();
-        self.wire_trace(stats);
-        contained(kind, || {
-            engine(kind).check_invariant(self.sys, p, &self.opts, stats)
-        })
-    }
-
-    /// Like [`Verifier::check_invariant`] but always returns the racing
-    /// metadata ([`crate::portfolio::CheckReport`]): winning engine, stats,
-    /// and wall-clock time. Non-portfolio engines run solo and report
-    /// themselves as the winner.
-    pub fn check_invariant_report(
-        &self,
-        p: &Expr,
-    ) -> Result<crate::portfolio::CheckReport, McError> {
-        use std::time::Instant;
-        match self.effective_engine() {
-            EngineKind::Portfolio => {
-                let mut stats = Stats::default();
-                self.wire_trace(&mut stats);
-                crate::portfolio::run_invariant(self.sys, p, &self.opts, &mut stats)
-            }
-            kind => {
-                let start = Instant::now();
-                let mut stats = Stats::for_engine(kind);
-                let result = self.check_invariant_stats(p, &mut stats)?;
-                Ok(crate::portfolio::CheckReport {
-                    winner: kind,
-                    wall: start.elapsed(),
-                    outcomes: vec![(kind, result.clone())],
-                    contender_stats: vec![(kind, stats.clone())],
-                    stats,
-                    result,
-                })
-            }
-        }
+    /// Like [`Verifier::check_invariant`] but returns the whole
+    /// [`CheckReport`]: the engine that ran (a portfolio's winner), its
+    /// stats, and wall-clock time.
+    pub fn check_invariant_report(&self, p: &Expr) -> Result<CheckReport, McError> {
+        self.report(Property::Invariant(p.clone()))
     }
 
     /// Checks an LTL property.
     pub fn check_ltl(&self, phi: &Ltl) -> Result<CheckResult, McError> {
-        self.check_ltl_stats(phi, &mut Stats::default())
+        self.check_ltl_report(phi).map(|r| r.result)
     }
 
-    /// Like [`Verifier::check_ltl`], recording engine counters and phase
-    /// timings into `stats`.
-    pub fn check_ltl_stats(&self, phi: &Ltl, stats: &mut Stats) -> Result<CheckResult, McError> {
-        let kind = self.effective_engine();
-        self.wire_trace(stats);
-        contained(kind, || {
-            engine(kind).check_ltl(self.sys, phi, &self.opts, stats)
-        })
-    }
-
-    /// Like [`Verifier::check_ltl`] but always returns the racing
-    /// metadata ([`crate::portfolio::CheckReport`]). Non-portfolio
-    /// engines run solo and report themselves as the winner.
-    pub fn check_ltl_report(&self, phi: &Ltl) -> Result<crate::portfolio::CheckReport, McError> {
-        use std::time::Instant;
-        match self.effective_engine() {
-            EngineKind::Portfolio => {
-                let mut stats = Stats::default();
-                self.wire_trace(&mut stats);
-                crate::portfolio::run_ltl(self.sys, phi, &self.opts, &mut stats)
-            }
-            kind => {
-                let start = Instant::now();
-                let mut stats = Stats::for_engine(kind);
-                let result = self.check_ltl_stats(phi, &mut stats)?;
-                Ok(crate::portfolio::CheckReport {
-                    winner: kind,
-                    wall: start.elapsed(),
-                    outcomes: vec![(kind, result.clone())],
-                    contender_stats: vec![(kind, stats.clone())],
-                    stats,
-                    result,
-                })
-            }
-        }
+    /// Like [`Verifier::check_ltl`] but returns the whole [`CheckReport`].
+    pub fn check_ltl_report(&self, phi: &Ltl) -> Result<CheckReport, McError> {
+        self.report(Property::Ltl(phi.clone()))
     }
 
     /// Checks a CTL property (finite engines only).
     pub fn check_ctl(&self, phi: &Ctl) -> Result<CheckResult, McError> {
-        self.check_ctl_stats(phi, &mut Stats::default())
+        self.check_ctl_report(phi).map(|r| r.result)
     }
 
-    /// Like [`Verifier::check_ctl`], recording engine counters and phase
-    /// timings into `stats`.
-    pub fn check_ctl_stats(&self, phi: &Ctl, stats: &mut Stats) -> Result<CheckResult, McError> {
-        let kind = self.effective_engine();
-        self.wire_trace(stats);
-        contained(kind, || {
-            engine(kind).check_ctl(self.sys, phi, &self.opts, stats)
-        })
+    /// Like [`Verifier::check_ctl`] but returns the whole [`CheckReport`].
+    pub fn check_ctl_report(&self, phi: &Ctl) -> Result<CheckReport, McError> {
+        self.report(Property::Ctl(phi.clone()))
     }
 
-    /// Like [`Verifier::check_ctl`] but always returns the racing
-    /// metadata ([`crate::portfolio::CheckReport`]). Non-portfolio
-    /// engines run solo and report themselves as the winner.
-    pub fn check_ctl_report(&self, phi: &Ctl) -> Result<crate::portfolio::CheckReport, McError> {
-        use std::time::Instant;
-        match self.effective_engine() {
-            EngineKind::Portfolio => {
-                let mut stats = Stats::default();
-                self.wire_trace(&mut stats);
-                crate::portfolio::run_ctl(self.sys, phi, &self.opts, &mut stats)
-            }
-            kind => {
-                let start = Instant::now();
-                let mut stats = Stats::for_engine(kind);
-                let result = self.check_ctl_stats(phi, &mut stats)?;
-                Ok(crate::portfolio::CheckReport {
-                    winner: kind,
-                    wall: start.elapsed(),
-                    outcomes: vec![(kind, result.clone())],
-                    contender_stats: vec![(kind, stats.clone())],
-                    stats,
-                    result,
-                })
-            }
-        }
-    }
-
-    /// Synthesizes safe values for the given frozen parameters against an
-    /// invariant (paper case study 1's `p ∈ {1, 2}` workflow).
+    /// Synthesizes safe values for the given frozen parameters (paper
+    /// case study 1's `p ∈ {1, 2}` workflow), with the complete engine
+    /// [`crate::engine::synthesis_engine`] picks for this request.
     pub fn synthesize_params(
         &self,
         params: &[VarId],
         property: &Property,
     ) -> Result<SynthesisResult, McError> {
-        params::synthesize(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-        )
-    }
-
-    /// Like [`Verifier::synthesize_params`] but stops at the first SAFE
-    /// assignment, cancelling outstanding workers (assignments not fully
-    /// checked report `Unknown(Cancelled)`).
-    pub fn synthesize_params_first_safe(
-        &self,
-        params: &[VarId],
-        property: &Property,
-    ) -> Result<SynthesisResult, McError> {
-        params::synthesize_first_safe(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-        )
-    }
-
-    /// Like [`Verifier::synthesize_params`] but records every verdict in a
-    /// journal and/or skips assignments already decided by a resumed run
-    /// (see [`crate::durable`]).
-    pub fn synthesize_params_durable(
-        &self,
-        params: &[VarId],
-        property: &Property,
-        durability: &Durability<'_>,
-    ) -> Result<SynthesisResult, McError> {
-        params::synthesize_durable(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-            durability,
-        )
-    }
-
-    /// Durable variant of [`Verifier::synthesize_params_first_safe`].
-    pub fn synthesize_params_first_safe_durable(
-        &self,
-        params: &[VarId],
-        property: &Property,
-        durability: &Durability<'_>,
-    ) -> Result<SynthesisResult, McError> {
-        params::synthesize_first_safe_durable(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-            durability,
-        )
-    }
-
-    /// The synthesis engine a parameter sweep will use for `property`
-    /// (needed by callers to fingerprint a journal before the sweep runs).
-    pub fn synthesis_engine(&self, property: &Property) -> SynthesisEngine {
-        match self.effective_engine() {
-            EngineKind::Bdd => SynthesisEngine::Bdd,
-            EngineKind::Explicit => SynthesisEngine::Explicit,
-            _ => match property {
-                Property::Invariant(_) => SynthesisEngine::KInduction,
-                Property::Ltl(_) => SynthesisEngine::Bdd,
-            },
-        }
+        let engine = synthesis_engine(self.engine, property);
+        params::synthesize(self.sys, params, property, engine, &self.opts)
     }
 
     /// Finds violating parameter values symbolically (they appear in the
@@ -396,23 +189,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_variants_record_counters() {
+    fn reports_carry_the_engine_and_its_counters() {
         let (sys, n) = counter();
-        let v = Verifier::new(&sys);
-        let mut stats = Stats::default();
-        let r = v
-            .check_invariant_stats(&Expr::var(n).le(Expr::int(7)), &mut stats)
-            .unwrap();
-        assert!(r.holds());
-        assert_eq!(stats.engine, Some(EngineKind::KInduction));
-        assert!(!stats.counters_are_zero());
-        assert!(!stats.depths.is_empty());
-
-        let report = v
+        let report = Verifier::new(&sys)
             .check_invariant_report(&Expr::var(n).le(Expr::int(7)))
             .unwrap();
+        assert!(report.result.holds());
+        assert_eq!(report.winner, EngineKind::KInduction);
         assert_eq!(report.stats.engine, Some(report.winner));
         assert!(!report.stats.counters_are_zero());
+        assert!(!report.stats.depths.is_empty());
     }
 
     #[test]

@@ -206,7 +206,7 @@ mod tests {
     use verdict_mc::prelude::*;
     use verdict_mc::Stats;
 
-    /// SMT-BMC LTL check through the engine registry.
+    /// SMT-BMC LTL check through the `engine` adapter.
     fn smt_ltl(sys: &System, phi: &Ltl, opts: &CheckOptions) -> CheckResult {
         engine(EngineKind::SmtBmc)
             .check_ltl(sys, phi, opts, &mut Stats::default())

@@ -1235,11 +1235,7 @@ fn drive_execution(inner: &Arc<Inner>, exec: &Arc<Execution>) {
         run_execution(inner, exec);
     }));
     if let Err(payload) = outcome {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".into());
+        let msg = verdict_mc::engine::panic_message(payload.as_ref());
         let rows = vec![VerdictRow {
             name: "(worker)".into(),
             verdict: "unknown".into(),

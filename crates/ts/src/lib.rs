@@ -14,7 +14,8 @@
 //!   `INIT`/`TRANS`/`INVAR` constraint sections, and fairness constraints,
 //!   mirroring the paper's NuXMV usage.
 //! * [`Ltl`]/[`Ctl`] — temporal property ASTs (`G`, `F`, `X`, `U`, `R` and
-//!   the CTL quantified forms).
+//!   the CTL quantified forms), and [`Property`], the invariant / LTL /
+//!   CTL sum the engines check.
 //! * [`bits`] — bit-blasting circuits written once against the [`BoolAlg`]
 //!   abstraction, shared by the SAT unrolling encoder here and the BDD
 //!   encoder in `verdict-mc`.
@@ -39,7 +40,7 @@ pub mod unroll;
 
 pub use bits::{BoolAlg, FormulaAlg};
 pub use expr::{Expr, TypeError};
-pub use property::{Ctl, Ltl};
+pub use property::{Ctl, Ltl, Property};
 pub use sorts::{EnumSort, Sort, Value};
 pub use system::{System, VarId, VarKind};
 pub use trace::Trace;

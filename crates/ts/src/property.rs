@@ -301,6 +301,18 @@ impl fmt::Display for Ctl {
     }
 }
 
+/// A property to check: the one type the DSL compiles to, the engines
+/// dispatch on, and parameter synthesis sweeps over.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Property {
+    /// `G p` for a boolean state expression `p`.
+    Invariant(Expr),
+    /// An LTL property.
+    Ltl(Ltl),
+    /// A CTL property.
+    Ctl(Ctl),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

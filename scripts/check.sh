@@ -466,11 +466,13 @@ if [[ $ceiling_status != 1 ]] || ! grep -q 'resource budget exhausted' <<<"$ceil
     exit 1
 fi
 # (c) The fat-tree sweep the partitioning exists for: k up to 6 must
-# verify under the partitioned relation within the lane budget. The
+# verify under the partitioned relation within 60 s per run (partitioned
+# fattree6 has taken 15-30 s; monolithic fattree6 never finishes and is
+# cut off at the same 60 s). The
 # bench binary itself asserts mono/part verdict agreement wherever both
 # are definitive before writing a line of JSON.
 bdd_bench="$smoke_dir/bench_bdd.json"
-timeout 600 ./target/release/bdd --max-arity 6 --timeout-secs 120 --out "$bdd_bench" \
+timeout 600 ./target/release/bdd --max-arity 6 --timeout-secs 60 --out "$bdd_bench" \
     >/dev/null \
     || { echo "check.sh: BDD bench sweep failed" >&2; exit 1; }
 if ! grep '"topology": "fattree6"' "$bdd_bench" \

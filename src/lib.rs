@@ -78,7 +78,8 @@ pub mod prelude {
     pub use verdict_logic::Rational;
     pub use verdict_mc::params::Property;
     pub use verdict_mc::{
-        engine, CheckOptions, CheckResult, Engine, EngineKind, Stats, UnknownReason, Verifier,
+        check, engine, CheckOptions, CheckReport, CheckResult, Engine, EngineKind, Stats,
+        UnknownReason, Verifier,
     };
     pub use verdict_models::lb_ecmp::{LbModel, LbSpec};
     pub use verdict_models::{RolloutModel, RolloutSpec, Topology};
