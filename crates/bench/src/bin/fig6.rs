@@ -20,6 +20,12 @@
 //! time out. The paper's footnote 6 also notes that for `test` and
 //! `fattree4` the `k = 2` "verification" runs actually *fail* the
 //! property — reproduced here.
+//!
+//! The binary exits 1 if a definite verdict contradicts that shape: a
+//! falsification that holds, `test` or `fattree4` holding at `k = 2` or
+//! failing at `k = 0, 1`, or a larger tree failing at any `k`. A timeout
+//! is printed but contradicts nothing: `--engine bdd` times out on the
+//! larger trees by design.
 
 use std::time::Duration;
 
@@ -33,6 +39,16 @@ fn outcome(result: &CheckResult) -> &'static str {
         CheckResult::Holds => "holds",
         CheckResult::Violated(_) => "VIOLATED",
         CheckResult::Unknown(_) => "timeout",
+    }
+}
+
+/// Whether a definite verdict contradicts the paper's outcome, where
+/// `holds` is the paper's. A timeout contradicts nothing.
+fn contradicts(result: &CheckResult, holds: bool) -> bool {
+    match result {
+        CheckResult::Holds => !holds,
+        CheckResult::Violated(_) => holds,
+        CheckResult::Unknown(_) => false,
     }
 }
 
@@ -85,6 +101,7 @@ fn main() {
     .filter(|(t, _)| t.name == "test" || t.num_nodes() <= 5 * max_size * max_size)
     .collect();
 
+    let mut contradictions = Vec::new();
     for (topo, k_fail) in cases {
         let arity_ok = match topo.name.strip_prefix("fattree") {
             Some(a) => a.parse::<usize>().unwrap_or(0) <= max_size,
@@ -96,6 +113,8 @@ fn main() {
         let (nodes, links, service) =
             (topo.num_nodes(), topo.num_links(), topo.service_nodes.len());
         let name = topo.name.clone();
+        // Footnote 6: two failures cut off the front end of the smallest trees.
+        let fails_at_k2 = name == "test" || name == "fattree4";
         let model = RolloutModel::build(&RolloutSpec::paper(topo)).expect("valid topology");
 
         // Property-failure run (the paper's blue line): BMC with enough
@@ -108,6 +127,9 @@ fn main() {
                 .unwrap()
         });
         let falsify = format!("{} {} (k={k_fail})", outcome(&res), fmt_duration(took));
+        if contradicts(&res, false) {
+            contradictions.push(format!("{name}: falsification at k={k_fail} holds"));
+        }
 
         // Verification runs for k = 0, 1, 2 (k-induction; complete for
         // these finite systems given enough depth/time).
@@ -127,6 +149,14 @@ fn main() {
                 }
             });
             verify.push(format!("{} {}", outcome(&res), fmt_duration(took)));
+            let holds = !(fails_at_k2 && k == 2);
+            if contradicts(&res, holds) {
+                contradictions.push(format!(
+                    "{name}: verification at k={k} is {}, the paper's {}",
+                    outcome(&res),
+                    if holds { "holds" } else { "VIOLATED" }
+                ));
+            }
         }
 
         println!(
@@ -140,4 +170,11 @@ fn main() {
          verification grows exponentially with size and k; the largest instances \
          time out; `test`/`fattree4` genuinely fail at k = 2 (paper footnote 6)."
     );
+    if !contradictions.is_empty() {
+        eprintln!("fig6: verdicts contradict the paper's shape:");
+        for c in &contradictions {
+            eprintln!("  {c}");
+        }
+        std::process::exit(1);
+    }
 }

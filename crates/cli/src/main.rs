@@ -480,19 +480,24 @@ fn check(args: &[String]) -> ExitCode {
         if !opts.certify {
             if let Some(prev) = resumed.get(name.as_str()) {
                 any_violated |= prev.verdict == VerdictTag::Unsafe;
+                // Older journals record the requested engine, not the one
+                // that ran: resolve it as `verdict_mc::check` does.
+                let ran = EngineKind::from_tag(&prev.engine).map_or_else(
+                    || prev.engine.clone(),
+                    |k| verdict_mc::engine::resolve(k, &model.system, property).to_string(),
+                );
                 if json {
                     rows.push(format!(
                         "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":0,\"resumed\":true}}",
                         quote(name),
                         quote(prev.verdict.tag()),
                         quote(prev.verdict.tag()),
-                        quote(&prev.engine),
+                        quote(&ran),
                         quote("skipped"),
                     ));
                 } else {
                     println!(
-                        "property `{name}` (resumed from journal, engine {}): {}",
-                        prev.engine,
+                        "property `{name}` (resumed from journal, engine {ran}): {}",
                         prev.verdict.tag()
                     );
                 }

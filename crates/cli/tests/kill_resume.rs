@@ -199,3 +199,69 @@ fn resume_refuses_mismatched_model() {
     let _ = std::fs::remove_file(&other);
     let _ = std::fs::remove_file(&journal);
 }
+
+/// A `check` journal written before check rows named the engine that ran
+/// holds the requested engine for an LTL verdict that BDD decided. The
+/// resumed run must name the engine that ran, in text and in JSON.
+#[test]
+fn resumed_check_rows_name_the_engine_that_ran() {
+    let model_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/models/taint_loop.vd");
+    let model = verdict_dsl::parse(&std::fs::read_to_string(&model_path).expect("example model"))
+        .expect("model compiles");
+    let specs: Vec<(String, String)> = model
+        .properties
+        .iter()
+        .map(|(name, p)| (name.clone(), format!("{p:?}")))
+        .collect();
+    let (name, property) = &model.properties[0];
+    let report = verdict_mc::check(
+        &model.system,
+        property,
+        verdict_mc::EngineKind::Auto,
+        &verdict_mc::CheckOptions::default(),
+    )
+    .expect("check runs");
+    assert!(report.result.violated(), "{}", report.result);
+    let journal = temp("engine-label").with_extension("jsonl");
+    let _ = std::fs::remove_file(&journal);
+    {
+        let (recorder, _) = verdict_mc::durable::start_check_journal(
+            &journal,
+            false,
+            &model.system,
+            &specs,
+            "auto",
+        )
+        .expect("journal created");
+        recorder.record_property(name, &report.result, "k-induction");
+    }
+    let resume = |json: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_verdict"));
+        cmd.args([
+            "check",
+            model_path.to_str().unwrap(),
+            "--resume",
+            journal.to_str().unwrap(),
+        ]);
+        if json {
+            cmd.arg("--json");
+        }
+        let out = cmd.output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let text = resume(false);
+    assert!(
+        text.contains(&format!(
+            "property `{name}` (resumed from journal, engine bdd)"
+        )),
+        "{text}"
+    );
+    let json = resume(true);
+    assert!(
+        json.contains("\"engine\":\"bdd\"") && json.contains("\"resumed\":true"),
+        "{json}"
+    );
+    let _ = std::fs::remove_file(&journal);
+}

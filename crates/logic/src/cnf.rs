@@ -1,16 +1,16 @@
 //! Conjunctive normal form and the Tseitin transformation.
 //!
 //! [`Cnf`] is the clause database consumed by `verdict-sat`. [`Tseitin`]
-//! converts arbitrary [`Formula`]s into equisatisfiable CNF by introducing
-//! one definition variable per distinct subformula, with memoization so that
-//! shared subtrees (ubiquitous in transition-relation unrollings) are encoded
-//! once.
+//! converts arbitrary [`Formula`]s, or gates over literals it already
+//! defined, into equisatisfiable CNF by introducing one definition variable
+//! per distinct gate, with memoization so that shared subtrees (ubiquitous
+//! in transition-relation unrollings) are encoded once.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 use crate::formula::Formula;
+use crate::idhash::IdMap;
 use crate::lit::{Lit, Var};
 
 /// A disjunction of literals.
@@ -178,11 +178,17 @@ impl std::error::Error for DimacsError {}
 
 /// Memoizing Tseitin encoder from [`Formula`] to [`Cnf`].
 ///
-/// Each distinct subformula (by pointer identity for shared `Rc`s plus
-/// structural identity for small nodes) receives one definition literal.
-/// The encoding is polarity-insensitive (full iff definitions), which keeps
-/// the encoder simple and is entirely adequate for the clause volumes
-/// produced by BMC unrollings in this workspace.
+/// Each gate has one constructor on already-encoded operands: [`Tseitin::and`],
+/// [`Tseitin::or`], [`Tseitin::xor`] and [`Tseitin::ite`]. A constructor
+/// folds constant operands, collapses duplicate ones where the gate allows,
+/// and looks its operands up in a structural hash (strash) table before it
+/// defines a fresh literal with full iff clauses, so equal gates over equal
+/// literals share one definition. [`Tseitin::define`] walks a [`Formula`] DAG
+/// onto these constructors; callers that already hold their operands'
+/// literals (the unroller in `verdict-ts`) call them directly and build no
+/// formula at all. The encoding is polarity-insensitive, which keeps the
+/// encoder simple and is entirely adequate for the clause volumes produced
+/// by BMC unrollings in this workspace.
 ///
 /// ```
 /// use verdict_logic::{Formula, Tseitin, Var};
@@ -196,17 +202,22 @@ impl std::error::Error for DimacsError {}
 /// ```
 pub struct Tseitin {
     cnf: Cnf,
-    cache: HashMap<FormulaKey, Lit>,
+    /// The strash table: gate kind and operand literal indices to the
+    /// gate's literal.
+    cache: IdMap<GateKey, Lit>,
     /// The per-call node memo of [`Tseitin::encode`], kept between calls
     /// only for its allocation: it is emptied before each call returns.
-    seen: HashMap<usize, EncodedLit>,
+    seen: IdMap<usize, EncodedLit>,
+    /// The operand literals of the and/or gate being defined, kept only
+    /// for its allocation.
+    lits: Vec<Lit>,
 }
 
-/// Structural key for memoization, built from already-encoded literal
-/// indices so shared subtrees hash cheaply. (`Iff` reuses the `Xor` key via
-/// negation; `Not` and `Var` need no definitions.)
+/// Strash key of a gate, built from its operands' literal indices.
+/// (`Iff` reuses the `Xor` key via negation; `Not` and `Var` need no
+/// definitions.)
 #[derive(PartialEq, Eq, Hash)]
-enum FormulaKey {
+enum GateKey {
     /// Two distinct literals, in ascending order: the common case, kept
     /// inline so that a lookup allocates nothing.
     And2(usize, usize),
@@ -214,6 +225,8 @@ enum FormulaKey {
     /// Three or more distinct literals, in ascending order.
     And(Vec<usize>),
     Or(Vec<usize>),
+    /// The operands in the order given: `xor(a, b)` and `xor(b, a)` are
+    /// two gates.
     Xor(usize, usize),
     Ite(usize, usize, usize),
 }
@@ -229,8 +242,9 @@ impl Tseitin {
     pub fn new() -> Tseitin {
         Tseitin {
             cnf: Cnf::new(),
-            cache: HashMap::new(),
-            seen: HashMap::new(),
+            cache: IdMap::default(),
+            seen: IdMap::default(),
+            lits: Vec::new(),
         }
     }
 
@@ -290,7 +304,7 @@ impl Tseitin {
     /// top-level call* (formulas are shared DAGs; without this the walk is
     /// exponential). It must not outlive the call: addresses of dropped
     /// formulas could be reused.
-    fn encode(&mut self, f: &Formula, seen: &mut HashMap<usize, EncodedLit>) -> EncodedLit {
+    fn encode(&mut self, f: &Formula, seen: &mut IdMap<usize, EncodedLit>) -> EncodedLit {
         // Leaves and negations cost less to encode again than to look up.
         match f {
             Formula::True | Formula::False | Formula::Var(_) | Formula::Not(_) => {
@@ -307,11 +321,7 @@ impl Tseitin {
         result
     }
 
-    fn encode_uncached(
-        &mut self,
-        f: &Formula,
-        seen: &mut HashMap<usize, EncodedLit>,
-    ) -> EncodedLit {
+    fn encode_uncached(&mut self, f: &Formula, seen: &mut IdMap<usize, EncodedLit>) -> EncodedLit {
         match f {
             Formula::True => EncodedLit::True,
             Formula::False => EncodedLit::False,
@@ -324,88 +334,49 @@ impl Tseitin {
             Formula::Or(parts) => self.encode_nary(parts, false, seen),
             Formula::Xor(a, b) => {
                 let (a, b) = (self.encode(a, seen), self.encode(b, seen));
-                match (a, b) {
-                    (EncodedLit::False, x) | (x, EncodedLit::False) => x,
-                    (EncodedLit::True, x) | (x, EncodedLit::True) => x.negate(),
-                    (EncodedLit::Lit(a), EncodedLit::Lit(b)) => {
-                        let key = FormulaKey::Xor(a.index(), b.index());
-                        if let Some(&l) = self.cache.get(&key) {
-                            return EncodedLit::Lit(l);
-                        }
-                        let o = self.fresh();
-                        // o <-> a xor b
-                        self.cnf.add_clause([!o, a, b]);
-                        self.cnf.add_clause([!o, !a, !b]);
-                        self.cnf.add_clause([o, !a, b]);
-                        self.cnf.add_clause([o, a, !b]);
-                        self.cache.insert(key, o);
-                        EncodedLit::Lit(o)
-                    }
-                }
+                self.xor(a, b)
             }
             Formula::Iff(a, b) => {
-                // a <-> b  ==  !(a xor b); encode operands through the
-                // memo, then combine like Xor.
-                let (ea, eb) = (self.encode(a, seen), self.encode(b, seen));
-                let xor = match (ea, eb) {
-                    (EncodedLit::False, x) | (x, EncodedLit::False) => x,
-                    (EncodedLit::True, x) | (x, EncodedLit::True) => x.negate(),
-                    (EncodedLit::Lit(la), EncodedLit::Lit(lb)) => {
-                        let key = FormulaKey::Xor(la.index(), lb.index());
-                        if let Some(&l) = self.cache.get(&key) {
-                            EncodedLit::Lit(l)
-                        } else {
-                            let o = self.fresh();
-                            self.cnf.add_clause([!o, la, lb]);
-                            self.cnf.add_clause([!o, !la, !lb]);
-                            self.cnf.add_clause([o, !la, lb]);
-                            self.cnf.add_clause([o, la, !lb]);
-                            self.cache.insert(key, o);
-                            EncodedLit::Lit(o)
-                        }
-                    }
-                };
-                xor.negate()
+                // a <-> b  ==  !(a xor b)
+                let (a, b) = (self.encode(a, seen), self.encode(b, seen));
+                self.xor(a, b).negate()
             }
-            Formula::Ite(c, t, e) => {
-                let c = self.encode(c, seen);
-                match c {
-                    EncodedLit::True => self.encode(t, seen),
-                    EncodedLit::False => self.encode(e, seen),
-                    EncodedLit::Lit(c) => {
-                        let t = self.encode(t, seen);
-                        let e = self.encode(e, seen);
-                        match (t, e) {
-                            (EncodedLit::True, EncodedLit::True) => EncodedLit::True,
-                            (EncodedLit::False, EncodedLit::False) => EncodedLit::False,
-                            (EncodedLit::True, EncodedLit::False) => EncodedLit::Lit(c),
-                            (EncodedLit::False, EncodedLit::True) => EncodedLit::Lit(!c),
-                            (t, e) => {
-                                let t = self.materialize(t);
-                                let e = self.materialize(e);
-                                let key = FormulaKey::Ite(c.index(), t.index(), e.index());
-                                if let Some(&l) = self.cache.get(&key) {
-                                    return EncodedLit::Lit(l);
-                                }
-                                let o = self.fresh();
-                                // o <-> ite(c, t, e)
-                                self.cnf.add_clause([!c, !t, o]);
-                                self.cnf.add_clause([!c, t, !o]);
-                                self.cnf.add_clause([c, !e, o]);
-                                self.cnf.add_clause([c, e, !o]);
-                                self.cache.insert(key, o);
-                                EncodedLit::Lit(o)
-                            }
-                        }
-                    }
+            // A constant condition leaves the other branch unencoded.
+            Formula::Ite(c, t, e) => match self.encode(c, seen) {
+                EncodedLit::True => self.encode(t, seen),
+                EncodedLit::False => self.encode(e, seen),
+                c => {
+                    let t = self.encode(t, seen);
+                    let e = self.encode(e, seen);
+                    self.ite(c, t, e)
                 }
-            }
+            },
         }
     }
 
-    /// Turns an encoded constant into a literal via a constrained fresh var;
-    /// only reachable through `Ite` arms with one constant branch.
-    fn materialize(&mut self, e: EncodedLit) -> Lit {
+    /// Encodes the parts of an n-ary and/or up to the first absorbing one,
+    /// leaving the rest unencoded, then defines the gate.
+    fn encode_nary(
+        &mut self,
+        parts: &Rc<Vec<Formula>>,
+        is_and: bool,
+        seen: &mut IdMap<usize, EncodedLit>,
+    ) -> EncodedLit {
+        let absorbing = EncodedLit::from(!is_and);
+        let mut encoded = Vec::with_capacity(parts.len());
+        for p in parts.iter() {
+            let e = self.encode(p, seen);
+            if e == absorbing {
+                return absorbing;
+            }
+            encoded.push(e);
+        }
+        self.nary(&encoded, is_and)
+    }
+
+    /// A literal for an encoded value: a constant becomes a fresh variable
+    /// fixed by a unit clause, so it can serve as an operand or assumption.
+    pub fn materialize(&mut self, e: EncodedLit) -> Lit {
         match e {
             EncodedLit::Lit(l) => l,
             EncodedLit::True => {
@@ -421,78 +392,145 @@ impl Tseitin {
         }
     }
 
-    fn encode_nary(
-        &mut self,
-        parts: &Rc<Vec<Formula>>,
-        is_and: bool,
-        seen: &mut HashMap<usize, EncodedLit>,
-    ) -> EncodedLit {
-        let mut lits = Vec::with_capacity(parts.len());
-        for p in parts.iter() {
-            match (self.encode(p, seen), is_and) {
-                (EncodedLit::True, true) | (EncodedLit::False, false) => {}
-                (EncodedLit::False, true) => return EncodedLit::False,
-                (EncodedLit::True, false) => return EncodedLit::True,
-                (EncodedLit::Lit(l), _) => lits.push(l),
+    /// The conjunction of `parts`. A `False` part makes it `False`, `True`
+    /// parts are dropped, and a single remaining literal (or one literal
+    /// repeated) is returned as is; otherwise the gate is defined once per
+    /// distinct set of operand literals.
+    pub fn and(&mut self, parts: &[EncodedLit]) -> EncodedLit {
+        self.nary(parts, true)
+    }
+
+    /// The disjunction of `parts`, folded like [`Tseitin::and`].
+    pub fn or(&mut self, parts: &[EncodedLit]) -> EncodedLit {
+        self.nary(parts, false)
+    }
+
+    fn nary(&mut self, parts: &[EncodedLit], is_and: bool) -> EncodedLit {
+        let absorbing = EncodedLit::from(!is_and);
+        let mut lits = std::mem::take(&mut self.lits);
+        lits.clear();
+        for &p in parts {
+            match p {
+                EncodedLit::Lit(l) => lits.push(l),
+                _ if p == absorbing => {
+                    self.lits = lits;
+                    return absorbing;
+                }
+                _ => {}
             }
         }
-        match lits.len() {
-            0 => {
-                if is_and {
-                    EncodedLit::True
-                } else {
-                    EncodedLit::False
+        let result = self.nary_gate(&lits, is_and);
+        self.lits = lits;
+        result
+    }
+
+    /// The and/or gate over non-constant operands.
+    fn nary_gate(&mut self, lits: &[Lit], is_and: bool) -> EncodedLit {
+        let key = match *lits {
+            [] => return EncodedLit::from(is_and),
+            [l] => return EncodedLit::Lit(l),
+            [a, b] => Self::pair_key(a.index(), b.index(), is_and),
+            _ => {
+                let mut key_ids: Vec<usize> = lits.iter().map(|l| l.index()).collect();
+                key_ids.sort_unstable();
+                key_ids.dedup();
+                match key_ids.len() {
+                    1 => None,
+                    2 => Self::pair_key(key_ids[0], key_ids[1], is_and),
+                    _ if is_and => Some(GateKey::And(key_ids)),
+                    _ => Some(GateKey::Or(key_ids)),
                 }
             }
-            1 => EncodedLit::Lit(lits[0]),
-            _ => {
-                let pair = |a: usize, b: usize| {
-                    if a == b {
-                        None
-                    } else if is_and {
-                        Some(FormulaKey::And2(a.min(b), a.max(b)))
-                    } else {
-                        Some(FormulaKey::Or2(a.min(b), a.max(b)))
-                    }
-                };
-                let key = if let [a, b] = lits[..] {
-                    pair(a.index(), b.index())
-                } else {
-                    let mut key_ids: Vec<usize> = lits.iter().map(|l| l.index()).collect();
-                    key_ids.sort_unstable();
-                    key_ids.dedup();
-                    match key_ids.len() {
-                        1 => None,
-                        2 => pair(key_ids[0], key_ids[1]),
-                        _ if is_and => Some(FormulaKey::And(key_ids)),
-                        _ => Some(FormulaKey::Or(key_ids)),
-                    }
-                };
-                // `None`: every literal is the same one.
-                let Some(key) = key else {
-                    return EncodedLit::Lit(lits[0]);
-                };
+        };
+        // `None`: every literal is the same one.
+        let Some(key) = key else {
+            return EncodedLit::Lit(lits[0]);
+        };
+        if let Some(&l) = self.cache.get(&key) {
+            return EncodedLit::Lit(l);
+        }
+        let o = self.fresh();
+        if is_and {
+            // o -> each lit;  all lits -> o
+            for &l in lits {
+                self.cnf.add_clause([!o, l]);
+            }
+            self.cnf
+                .add_clause(lits.iter().map(|&l| !l).chain(std::iter::once(o)));
+        } else {
+            // each lit -> o;  o -> some lit
+            for &l in lits {
+                self.cnf.add_clause([!l, o]);
+            }
+            self.cnf
+                .add_clause(lits.iter().copied().chain(std::iter::once(!o)));
+        }
+        self.cache.insert(key, o);
+        EncodedLit::Lit(o)
+    }
+
+    /// The key of a two-operand and/or, or `None` if both are one literal.
+    fn pair_key(a: usize, b: usize, is_and: bool) -> Option<GateKey> {
+        if a == b {
+            None
+        } else if is_and {
+            Some(GateKey::And2(a.min(b), a.max(b)))
+        } else {
+            Some(GateKey::Or2(a.min(b), a.max(b)))
+        }
+    }
+
+    /// `a xor b`, folding a constant operand. Two literals get a gate even
+    /// when equal or complementary.
+    pub fn xor(&mut self, a: EncodedLit, b: EncodedLit) -> EncodedLit {
+        match (a, b) {
+            (EncodedLit::False, x) | (x, EncodedLit::False) => x,
+            (EncodedLit::True, x) | (x, EncodedLit::True) => x.negate(),
+            (EncodedLit::Lit(a), EncodedLit::Lit(b)) => {
+                let key = GateKey::Xor(a.index(), b.index());
                 if let Some(&l) = self.cache.get(&key) {
                     return EncodedLit::Lit(l);
                 }
                 let o = self.fresh();
-                if is_and {
-                    // o -> each lit;  all lits -> o
-                    let mut big: Clause = lits.iter().map(|&l| !l).collect();
-                    for &l in &lits {
-                        self.cnf.add_clause([!o, l]);
-                    }
-                    big.push(o);
-                    self.cnf.add_clause(big);
-                } else {
-                    // each lit -> o;  o -> some lit
-                    let mut big: Clause = lits.clone();
-                    for &l in &lits {
-                        self.cnf.add_clause([!l, o]);
-                    }
-                    big.push(!o);
-                    self.cnf.add_clause(big);
+                // o <-> a xor b
+                self.cnf.add_clause([!o, a, b]);
+                self.cnf.add_clause([!o, !a, !b]);
+                self.cnf.add_clause([o, !a, b]);
+                self.cnf.add_clause([o, a, !b]);
+                self.cache.insert(key, o);
+                EncodedLit::Lit(o)
+            }
+        }
+    }
+
+    /// `if c then t else e`. A constant condition selects a branch, and two
+    /// constant branches fold to a constant, `c` or `!c`. Otherwise a
+    /// constant branch is [materialized](Tseitin::materialize) as a fresh
+    /// unit variable before the gate is defined.
+    pub fn ite(&mut self, c: EncodedLit, t: EncodedLit, e: EncodedLit) -> EncodedLit {
+        let c = match c {
+            EncodedLit::True => return t,
+            EncodedLit::False => return e,
+            EncodedLit::Lit(c) => c,
+        };
+        match (t, e) {
+            (EncodedLit::True, EncodedLit::True) => EncodedLit::True,
+            (EncodedLit::False, EncodedLit::False) => EncodedLit::False,
+            (EncodedLit::True, EncodedLit::False) => EncodedLit::Lit(c),
+            (EncodedLit::False, EncodedLit::True) => EncodedLit::Lit(!c),
+            (t, e) => {
+                let t = self.materialize(t);
+                let e = self.materialize(e);
+                let key = GateKey::Ite(c.index(), t.index(), e.index());
+                if let Some(&l) = self.cache.get(&key) {
+                    return EncodedLit::Lit(l);
                 }
+                let o = self.fresh();
+                // o <-> ite(c, t, e)
+                self.cnf.add_clause([!c, !t, o]);
+                self.cnf.add_clause([!c, t, !o]);
+                self.cnf.add_clause([c, !e, o]);
+                self.cnf.add_clause([c, e, !o]);
                 self.cache.insert(key, o);
                 EncodedLit::Lit(o)
             }
@@ -511,8 +549,19 @@ pub enum EncodedLit {
     Lit(Lit),
 }
 
+impl From<bool> for EncodedLit {
+    fn from(b: bool) -> EncodedLit {
+        if b {
+            EncodedLit::True
+        } else {
+            EncodedLit::False
+        }
+    }
+}
+
 impl EncodedLit {
-    fn negate(self) -> EncodedLit {
+    /// The negation: constants swap, a literal flips its sign.
+    pub fn negate(self) -> EncodedLit {
         match self {
             EncodedLit::True => EncodedLit::False,
             EncodedLit::False => EncodedLit::True,

@@ -14,6 +14,8 @@
 //! * [`Cnf`] — clause database with a [Tseitin] transformation from
 //!   [`Formula`], DIMACS export, and truth-assignment evaluation helpers
 //!   used heavily in tests.
+//! * [`IdMap`] — a hash map with a fast hasher for the encoders' memos,
+//!   whose keys the program assigns (node addresses, literal indices).
 //!
 //! [Tseitin]: https://en.wikipedia.org/wiki/Tseytin_transformation
 //!
@@ -22,10 +24,12 @@
 
 pub mod cnf;
 pub mod formula;
+pub mod idhash;
 pub mod lit;
 pub mod rational;
 
 pub use cnf::{Clause, Cnf, Tseitin};
 pub use formula::Formula;
+pub use idhash::{IdHasher, IdMap};
 pub use lit::{Lit, Var};
 pub use rational::Rational;

@@ -117,8 +117,8 @@ impl std::fmt::Display for EngineKind {
 /// The engine a request runs on `property` (see the module table):
 /// `auto` and `kind` send LTL/CTL to bdd, a real-valued system runs
 /// smt-bmc under `auto` and `portfolio`, and every other request runs
-/// as asked.
-fn resolve(kind: EngineKind, sys: &System, property: &Property) -> EngineKind {
+/// as asked. A tag that names an engine that ran resolves to itself.
+pub fn resolve(kind: EngineKind, sys: &System, property: &Property) -> EngineKind {
     match kind {
         EngineKind::Auto | EngineKind::Portfolio if sys.has_real_vars() => EngineKind::SmtBmc,
         EngineKind::Auto | EngineKind::KInduction => match property {

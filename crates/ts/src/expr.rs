@@ -6,11 +6,10 @@
 //! only multiplication is by a constant — matching both what the paper's
 //! models need and what the simplex backend can decide.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use verdict_logic::Rational;
+use verdict_logic::{IdMap, Rational};
 
 use crate::sorts::{Sort, Value};
 use crate::system::{System, VarId};
@@ -296,7 +295,7 @@ impl Expr {
     /// True iff the expression mentions any next-state variable.
     /// Memoized on node identity, so shared DAGs are walked once.
     pub fn mentions_next(&self) -> bool {
-        self.mentions_next_in(&mut HashMap::new())
+        self.mentions_next_in(&mut IdMap::default())
     }
 
     /// [`Expr::mentions_next`] against a memo that outlives the call.
@@ -305,8 +304,8 @@ impl Expr {
     /// `Arc`s to its answer. `self` is never entered — its address may be
     /// a temporary. So the memo stays sound for as long as every expression
     /// it was used on, or a clone of it, is kept alive.
-    pub(crate) fn mentions_next_in(&self, memo: &mut HashMap<usize, bool>) -> bool {
-        fn go(e: &Expr, memo: &mut HashMap<usize, bool>) -> bool {
+    pub(crate) fn mentions_next_in(&self, memo: &mut IdMap<usize, bool>) -> bool {
+        fn go(e: &Expr, memo: &mut IdMap<usize, bool>) -> bool {
             if matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_)) {
                 return e.mentions_next_in(memo);
             }
@@ -339,7 +338,7 @@ impl Expr {
     /// checking well-sortedness along the way. Integer sorts carry the
     /// statically-derived value range.
     pub fn sort(&self, sys: &System) -> Result<Sort, TypeError> {
-        self.sort_rec(sys, &mut HashMap::new())
+        self.sort_rec(sys, &mut IdMap::default())
     }
 
     /// Memoized recursion for [`Expr::sort`]: shared DAG nodes are sorted
@@ -348,15 +347,19 @@ impl Expr {
     pub(crate) fn sort_rec(
         &self,
         sys: &System,
-        cache: &mut HashMap<*const Expr, Sort>,
+        cache: &mut IdMap<*const Expr, Sort>,
     ) -> Result<Sort, TypeError> {
-        let key = self as *const Expr;
+        // Leaves cost less to sort again than to look up.
+        let key = match self {
+            Expr::Const(v) => return Ok(v.sort_of()),
+            Expr::Var(v) | Expr::Next(v) => return Ok(sys.sort_of(*v).clone()),
+            _ => self as *const Expr,
+        };
         if let Some(s) = cache.get(&key) {
             return Ok(s.clone());
         }
         let result = match self {
-            Expr::Const(v) => Ok(v.sort_of()),
-            Expr::Var(v) | Expr::Next(v) => Ok(sys.sort_of(*v).clone()),
+            Expr::Const(_) | Expr::Var(_) | Expr::Next(_) => unreachable!("leaves return above"),
             Expr::Not(e) => {
                 expect_bool(sys, e, "not", cache)?;
                 Ok(Sort::Bool)
@@ -528,7 +531,7 @@ fn expect_bool(
     sys: &System,
     e: &Expr,
     ctx: &str,
-    cache: &mut HashMap<*const Expr, Sort>,
+    cache: &mut IdMap<*const Expr, Sort>,
 ) -> Result<(), TypeError> {
     match e.sort_rec(sys, cache)? {
         Sort::Bool => Ok(()),

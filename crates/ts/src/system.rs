@@ -1,7 +1,9 @@
 //! Transition-system declarations and constraint sections.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use verdict_logic::IdMap;
 
 use crate::expr::{Expr, TypeError};
 use crate::sorts::Sort;
@@ -63,6 +65,7 @@ pub struct System {
     invar: Vec<Expr>,
     fairness: Vec<Expr>,
     next_memo: NextMemo,
+    checked: Checked,
 }
 
 /// [`Expr::mentions_next_in`] answers shared by every `INIT`, `INVAR` and
@@ -70,7 +73,7 @@ pub struct System {
 /// per system. Its keys are addresses of nodes inside the constraints'
 /// `Arc`s, which the system keeps alive.
 #[derive(Default)]
-struct NextMemo(HashMap<usize, bool>);
+struct NextMemo(IdMap<usize, bool>);
 
 /// A clone starts empty. The memo is only a cache, and copying it would
 /// add its size to every pinned copy of a system.
@@ -83,6 +86,27 @@ impl Clone for NextMemo {
 impl fmt::Debug for NextMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "NextMemo({} nodes)", self.0.len())
+    }
+}
+
+/// How many constraints of each section, in [`System::check`]'s order,
+/// have passed `check`: it sorts only the ones added since.
+///
+/// Sections are append-only and a declared variable's sort never changes,
+/// so a constraint that passed once passes again. The counts are atomics
+/// because engines share a `&System` across threads; they publish no
+/// other data (the constraints were in place before the system was
+/// shared), so `Relaxed` suffices, and two threads racing to check the
+/// same constraints store the same count.
+#[derive(Debug, Default)]
+struct Checked([AtomicUsize; 4]);
+
+/// A clone keeps the counts: its constraints are the same ones, checked.
+impl Clone for Checked {
+    fn clone(&self) -> Checked {
+        Checked(std::array::from_fn(|i| {
+            AtomicUsize::new(self.0[i].load(Ordering::Relaxed))
+        }))
     }
 }
 
@@ -331,7 +355,9 @@ impl System {
     }
 
     /// Type-checks every constraint section; returns the first error.
-    /// One memo serves every section, so a shared DAG is sorted once.
+    /// One memo serves every section, so a shared DAG is sorted once, and
+    /// a constraint that passed an earlier `check` of this system (or of
+    /// the system it was cloned from) is not sorted again.
     pub fn check(&self) -> Result<(), TypeError> {
         let sections: [(&str, &[Expr]); 4] = [
             ("INIT", &self.init),
@@ -339,9 +365,9 @@ impl System {
             ("INVAR", &self.invar),
             ("FAIRNESS", &self.fairness),
         ];
-        let mut memo = HashMap::new();
-        for (section, exprs) in sections {
-            for e in exprs {
+        let mut memo = IdMap::default();
+        for ((section, exprs), checked) in sections.into_iter().zip(&self.checked.0) {
+            for e in &exprs[checked.load(Ordering::Relaxed)..] {
                 match e.sort_rec(self, &mut memo) {
                     Ok(Sort::Bool) => {}
                     Ok(s) => {
@@ -354,6 +380,7 @@ impl System {
                     }
                 }
             }
+            checked.store(exprs.len(), Ordering::Relaxed);
         }
         Ok(())
     }
@@ -428,6 +455,61 @@ mod tests {
         sys.add_trans(Expr::next(n)); // int, not bool
         let e = sys.check().unwrap_err();
         assert!(e.0.contains("TRANS"), "{e}");
+    }
+
+    /// The checked counts of `sys`, per section.
+    fn checked(sys: &System) -> Vec<usize> {
+        sys.checked
+            .0
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// A system whose constraints all type-check, and its int variable.
+    fn checked_counter() -> (System, VarId) {
+        let mut sys = System::new("s");
+        let n = sys.int_var("n", 0, 3);
+        sys.add_init(Expr::var(n).eq(Expr::int(0)));
+        sys.add_trans(Expr::next(n).eq(Expr::var(n)));
+        sys.add_invar(Expr::var(n).le(Expr::int(3)));
+        assert!(sys.check().is_ok());
+        (sys, n)
+    }
+
+    #[test]
+    fn check_sorts_constraints_added_after_it_passed() {
+        let (mut sys, n) = checked_counter();
+        sys.add_invar(Expr::var(n)); // int, not bool
+        let e = sys.check().unwrap_err();
+        assert!(e.0.contains("INVAR"), "{e}");
+        assert!(sys.check().is_err(), "a failed check must not count");
+        assert!(sys.clone().check().is_err());
+    }
+
+    #[test]
+    fn clones_count_checked_constraints_apart() {
+        let (mut sys, n) = checked_counter();
+        let before = sys.clone();
+        sys.add_invar(Expr::var(n));
+        assert!(sys.check().is_err());
+        assert!(before.check().is_ok());
+        // Counts shared with `sys` would run past `other`'s constraints
+        // or skip its bad one.
+        let mut other = before.clone();
+        let mut sys = before;
+        sys.add_invar(Expr::var(n).ge(Expr::int(0)));
+        assert!(sys.check().is_ok());
+        other.add_invar(Expr::var(n));
+        assert!(other.check().is_err());
+    }
+
+    #[test]
+    fn a_clone_starts_with_the_checked_counts() {
+        let (sys, _) = checked_counter();
+        assert_eq!(checked(&sys), vec![1, 1, 1, 0]);
+        assert_eq!(checked(&sys.clone()), checked(&sys));
+        assert_eq!(checked(&System::new("fresh")), vec![0; 4]);
     }
 
     #[test]

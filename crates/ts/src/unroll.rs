@@ -28,11 +28,21 @@
 //! every root it lowers alive (a clone bumps reference counts only). The
 //! system's own constraints live as long as the unroller's borrow of the
 //! system.
-
-use std::collections::HashMap;
+//!
+//! Below the root, a boolean connective (`!`, `&`, `|`, `->`, `<->`,
+//! boolean `=`, `if`) is defined straight from its operands' literals by
+//! one of [`Tseitin`](verdict_logic::Tseitin)'s gate constructors, with no
+//! formula in between: an n-ary `&`/`|` is the left fold of binary gates,
+//! `->` the or-gate of `[!a, b]`, and `<->` the negated xor gate. The CNF
+//! is the one that defining the root-style formula would give. Two kinds
+//! of node still build a [`Formula`]: integer and enum comparisons, whose
+//! circuits come from [`crate::bits`], and roots. A root's formula goes
+//! back to the caller, which may assert it, define it, or combine it with
+//! other roots (certification and LTL BMC flatten several into one
+//! `or_all`), so it keeps the shape the caller expects.
 
 use verdict_logic::cnf::EncodedLit;
-use verdict_logic::{Clause, Formula, Lit, Var};
+use verdict_logic::{Clause, Formula, IdMap, Lit, Var};
 
 use crate::bits::{self, FormulaAlg, Num};
 use crate::expr::{Expr, TypeError};
@@ -56,12 +66,15 @@ pub struct Unroller<'s> {
     steps: Vec<Vec<Vec<Var>>>,
     use_init: bool,
     /// `(node address, step)` → what the boolean node was defined as.
-    lowered: HashMap<(usize, usize), EncodedLit>,
+    lowered: IdMap<(usize, usize), EncodedLit>,
     /// Node address → whether the node mentions `next()`.
-    mentions_next: HashMap<usize, bool>,
+    mentions_next: IdMap<usize, bool>,
     /// Every expression [`Unroller::lower_bool`] was given, kept alive so
     /// that no address in the memos is freed and reused.
     roots: Vec<Expr>,
+    /// Operand literals of the and/or nodes being lowered, innermost
+    /// node's last: one buffer shared down the recursion.
+    operands: Vec<EncodedLit>,
 }
 
 impl<'s> Unroller<'s> {
@@ -90,9 +103,10 @@ impl<'s> Unroller<'s> {
             widths,
             steps: Vec::new(),
             use_init,
-            lowered: HashMap::new(),
-            mentions_next: HashMap::new(),
+            lowered: IdMap::default(),
+            mentions_next: IdMap::default(),
             roots: Vec::new(),
+            operands: Vec::new(),
         })
     }
 
@@ -308,28 +322,89 @@ impl<'s> Unroller<'s> {
     }
 
     /// Lowers `e`, an operand inside a lowered expression's `Arc`s, at
-    /// step `t`. A non-leaf operand goes through the memo: the first time
-    /// it is met at `t` its formula is defined as a literal, and every later
-    /// meeting costs one lookup.
+    /// step `t`, as a formula over its literal. Numeric circuits and roots
+    /// combine operands as formulas.
     fn lower_operand(&mut self, e: &Expr, t: usize) -> Formula {
-        if matches!(e, Expr::Const(_) | Expr::Var(_) | Expr::Next(_)) {
-            return self.lower_root(e, t);
-        }
-        let key = (e as *const Expr as usize, t);
-        let lit = match self.lowered.get(&key) {
-            Some(&lit) => lit,
-            None => {
-                let f = self.lower_root(e, t);
-                let lit = self.enc.define(&f);
-                self.lowered.insert(key, lit);
-                lit
-            }
-        };
-        match lit {
+        match self.operand_lit(e, t) {
             EncodedLit::True => Formula::tt(),
             EncodedLit::False => Formula::ff(),
             EncodedLit::Lit(l) => Formula::lit(l.var(), l.is_positive()),
         }
+    }
+
+    /// Defines `e`, an operand inside a lowered expression's `Arc`s, at
+    /// step `t`. A non-leaf operand goes through the memo: the first time
+    /// it is met at `t` it is defined as a literal, and every later meeting
+    /// costs one lookup. Boolean connectives become one gate over their
+    /// operands' literals, with the constant folding, gate order and strash
+    /// keys that defining their [`Unroller::lower_root`] formula would give;
+    /// only numeric and enum comparisons build a formula.
+    fn operand_lit(&mut self, e: &Expr, t: usize) -> EncodedLit {
+        match e {
+            Expr::Const(Value::Bool(b)) => return EncodedLit::from(*b),
+            Expr::Var(v) => return EncodedLit::Lit(self.bool_bit(*v, t).positive()),
+            Expr::Next(v) => return EncodedLit::Lit(self.bool_bit(*v, t + 1).positive()),
+            _ => {}
+        }
+        let key = (e as *const Expr as usize, t);
+        if let Some(&lit) = self.lowered.get(&key) {
+            return lit;
+        }
+        let lit = match e {
+            Expr::Not(a) => self.operand_lit(a, t).negate(),
+            Expr::And(xs) => self.fold_gates(xs, t, true),
+            Expr::Or(xs) => self.fold_gates(xs, t, false),
+            Expr::Implies(a, b) => {
+                let a = self.operand_lit(a, t);
+                let b = self.operand_lit(b, t);
+                self.enc.or(&[a.negate(), b])
+            }
+            Expr::Iff(a, b) => self.iff_lit(a, b, t),
+            Expr::Eq(a, b) if a.sort(self.sys).expect("type-checked system") == Sort::Bool => {
+                self.iff_lit(a, b, t)
+            }
+            Expr::Ite(c, a, b) => {
+                let c = self.operand_lit(c, t);
+                let a = self.operand_lit(a, t);
+                let b = self.operand_lit(b, t);
+                self.enc.ite(c, a, b)
+            }
+            _ => {
+                let f = self.lower_root(e, t);
+                self.enc.define(&f)
+            }
+        };
+        self.lowered.insert(key, lit);
+        lit
+    }
+
+    /// `a <-> b` as the negated xor gate of the operands, in their order.
+    fn iff_lit(&mut self, a: &Expr, b: &Expr, t: usize) -> EncodedLit {
+        let a = self.operand_lit(a, t);
+        let b = self.operand_lit(b, t);
+        self.enc.xor(a, b).negate()
+    }
+
+    /// An n-ary and/or as the left fold of binary gates over its operands,
+    /// as [`Formula::and_pair`] and [`Formula::or_pair`] build it at a root.
+    /// Every operand is lowered before the first gate is defined.
+    fn fold_gates(&mut self, xs: &[Expr], t: usize, is_and: bool) -> EncodedLit {
+        let base = self.operands.len();
+        for x in xs {
+            let lit = self.operand_lit(x, t);
+            self.operands.push(lit);
+        }
+        let mut acc = EncodedLit::from(is_and);
+        for i in base..self.operands.len() {
+            let pair = [acc, self.operands[i]];
+            acc = if is_and {
+                self.enc.and(&pair)
+            } else {
+                self.enc.or(&pair)
+            };
+        }
+        self.operands.truncate(base);
+        acc
     }
 
     /// Lowers `e` at step `t` from its operands; `e` itself never enters
@@ -338,8 +413,8 @@ impl<'s> Unroller<'s> {
     fn lower_root(&mut self, e: &Expr, t: usize) -> Formula {
         match e {
             Expr::Const(Value::Bool(b)) => Formula::constant(*b),
-            Expr::Var(v) => self.bool_bit(*v, t),
-            Expr::Next(v) => self.bool_bit(*v, t + 1),
+            Expr::Var(v) => Formula::var(self.bool_bit(*v, t)),
+            Expr::Next(v) => Formula::var(self.bool_bit(*v, t + 1)),
             Expr::Not(a) => self.lower_operand(a, t).not(),
             Expr::And(xs) => {
                 let mut acc = Formula::tt();
@@ -412,9 +487,9 @@ impl<'s> Unroller<'s> {
         }
     }
 
-    fn bool_bit(&self, v: VarId, t: usize) -> Formula {
+    fn bool_bit(&self, v: VarId, t: usize) -> Var {
         debug_assert_eq!(*self.sys.sort_of(v), Sort::Bool);
-        Formula::var(self.steps[t][v.index()][0])
+        self.steps[t][v.index()][0]
     }
 
     fn lower_num(&mut self, e: &Expr, t: usize) -> Num<Formula> {
@@ -524,19 +599,8 @@ impl<'s> Unroller<'s> {
     /// through a constrained fresh variable — suitable as an activation or
     /// assumption literal.
     pub fn literal_for(&mut self, f: &Formula) -> Lit {
-        match self.enc.define(f) {
-            verdict_logic::cnf::EncodedLit::Lit(l) => l,
-            verdict_logic::cnf::EncodedLit::True => {
-                let v = self.enc.cnf_mut().fresh_var();
-                self.enc.cnf_mut().add_unit(v.positive());
-                v.positive()
-            }
-            verdict_logic::cnf::EncodedLit::False => {
-                let v = self.enc.cnf_mut().fresh_var();
-                self.enc.cnf_mut().add_unit(v.negative());
-                v.positive()
-            }
-        }
+        let e = self.enc.define(f);
+        self.enc.materialize(e)
     }
 
     /// A fresh unconstrained literal (for activation variables).

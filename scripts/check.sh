@@ -482,6 +482,18 @@ if ! grep '"topology": "fattree6"' "$bdd_bench" \
     exit 1
 fi
 
+# Fig. 6 lane: the paper's falsify-vs-verify sweep to fattree8. The bin
+# exits 1 when a definite verdict contradicts the paper's shape; with
+# k-induction every row here decides within its 60 s budget (the lane
+# takes about 5 s), so a timeout fails the lane too.
+fig6_out=$(timeout 600 ./target/release/fig6 --max-size 8 --timeout-secs 60) \
+    || { echo "check.sh: fig6 sweep contradicts the paper (or failed)" >&2; echo "$fig6_out" >&2; exit 1; }
+if grep -E '^(test|fattree[0-9]+) ' <<<"$fig6_out" | grep -q timeout; then
+    echo "check.sh: a fig6 row timed out" >&2
+    echo "$fig6_out" >&2
+    exit 1
+fi
+
 # Scenario-factory lane: enumerate the incident-driven matrix, sweep it
 # locally under --certify, and push one pattern through a daemon.
 # Required: (a) the enumeration floor — at least 40 instances spanning
