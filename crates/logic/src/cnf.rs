@@ -407,18 +407,12 @@ impl Tseitin {
 
     fn nary(&mut self, parts: &[EncodedLit], is_and: bool) -> EncodedLit {
         let absorbing = EncodedLit::from(!is_and);
+        if parts.contains(&absorbing) {
+            return absorbing;
+        }
         let mut lits = std::mem::take(&mut self.lits);
         lits.clear();
-        for &p in parts {
-            match p {
-                EncodedLit::Lit(l) => lits.push(l),
-                _ if p == absorbing => {
-                    self.lits = lits;
-                    return absorbing;
-                }
-                _ => {}
-            }
-        }
+        lits.extend(parts.iter().filter_map(|p| p.as_lit()));
         let result = self.nary_gate(&lits, is_and);
         self.lits = lits;
         result
