@@ -402,6 +402,45 @@ fn cancel_survives_restart() {
 }
 
 #[test]
+fn wait_wakes_for_a_job_that_finished_while_the_handler_was_writing() {
+    let server = TestServer::start(|_| {});
+    let mut client = server.client();
+    // 9,003 trace events, about 700 KB: more than a Unix socket buffers.
+    let mut spec = JobSpec::check(TINY);
+    spec.engine = "bmc".into();
+    spec.depth = Some(3000);
+    let job = client.submit(&spec).expect("submit");
+    // Stop reading at the first event, so the handler blocks writing its
+    // backlog while the job runs to the end.
+    let mut stamps: Vec<Instant> = Vec::new();
+    let outcome = client
+        .wait(job, |_| {
+            if stamps.is_empty() {
+                std::thread::sleep(Duration::from_millis(1500));
+            }
+            stamps.push(Instant::now());
+        })
+        .expect("wait");
+    stamps.push(Instant::now());
+    assert_eq!(outcome.state, "done");
+    assert_eq!(outcome.verdicts[0].reason.as_deref(), Some("depth-bound"));
+    assert!(stamps.len() > 9000, "{} events streamed", stamps.len() - 1);
+    let (at, gap) = stamps
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .enumerate()
+        .max_by_key(|&(_, gap)| gap)
+        .expect("events streamed");
+    assert!(
+        gap < Duration::from_millis(50),
+        "the stream stalled {gap:?} after event {} of {}",
+        at + 1,
+        stamps.len() - 1
+    );
+    server.finish();
+}
+
+#[test]
 fn stale_socket_is_reclaimed_but_live_daemon_is_not() {
     let dir = tempdir::TempDir::new();
     let socket = dir.path.join("verdict.sock");
