@@ -51,7 +51,7 @@
 //!   and wedged jobs are already journaled and re-run on the next
 //!   start. The daemon exits 0.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -72,6 +72,13 @@ pub mod proto;
 
 pub use client::{Client, ClientError, JobOutcome};
 pub use proto::{JobKind, JobSpec, Rejection, Request, VerdictRow};
+
+/// Finished jobs the daemon keeps answering `status` and `wait` for.
+/// Jobs join a FIFO in the order they finish (done, or cancelled by a
+/// client); once it holds more than this many, the oldest leaves the
+/// job table and its idempotency key leaves the dedup map, and asking
+/// for it gets an `evicted` rejection. Counted in jobs, not trace bytes.
+pub const RETAINED_JOBS: usize = 1024;
 
 /// How the daemon is wired: socket path, WAL directory, fleet size,
 /// admission-queue capacity, and the supervision knobs.
@@ -215,6 +222,10 @@ impl JobPhase {
             JobPhase::Cancelled => "cancelled",
         }
     }
+
+    fn finished(self) -> bool {
+        matches!(self, JobPhase::Done | JobPhase::Cancelled)
+    }
 }
 
 /// Mutable job state, guarded by the job's mutex.
@@ -249,6 +260,8 @@ struct Job {
     finalized: AtomicBool,
     /// Set once a hedge has been launched — at most one per job.
     hedged: AtomicBool,
+    /// Set once the job has joined the retention FIFO.
+    retained: AtomicBool,
     /// When the job entered the queue; deadlines count from here.
     enqueued_at: Mutex<Instant>,
     state: Mutex<JobState>,
@@ -266,6 +279,7 @@ impl Job {
             cancel_requested: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
             hedged: AtomicBool::new(false),
+            retained: AtomicBool::new(false),
             enqueued_at: Mutex::new(Instant::now()),
             state: Mutex::new(JobState {
                 phase: JobPhase::Queued,
@@ -401,13 +415,22 @@ struct QEntry {
     detail: String,
 }
 
+/// The jobs the daemon answers for: every queued, running or
+/// drain-stopped job, and the last [`RETAINED_JOBS`] finished ones.
+#[derive(Default)]
+struct JobTable {
+    jobs: HashMap<u64, Arc<Job>>,
+    /// Ids of the retained finished jobs, in the order they finished.
+    finished: VecDeque<u64>,
+}
+
 /// State shared by the accept loop, connection handlers, workers, and
 /// the supervisor.
 struct Inner {
     cfg: ServerConfig,
     wal: Wal,
     pool: WriterPool,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     /// Jobs queued or mid-admission — the bounded-queue occupancy count.
@@ -444,6 +467,62 @@ struct Inner {
 }
 
 impl Inner {
+    /// The job `id` names, or why there is none: `evicted` for an id
+    /// this daemon issued whose job has left the retained window,
+    /// `bad-request` for one it never issued.
+    fn lookup(&self, id: u64) -> Result<Arc<Job>, Rejection> {
+        let table = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(job) = table.jobs.get(&id) {
+            return Ok(Arc::clone(job));
+        }
+        if (1..self.next_job.load(Ordering::Acquire)).contains(&id) {
+            Err(Rejection::new("evicted").with_detail(format!(
+                "job {id} finished before the last {RETAINED_JOBS} finished jobs, which are all the daemon keeps"
+            )))
+        } else {
+            Err(Rejection::new("bad-request").with_detail(format!("no job {id}")))
+        }
+    }
+
+    /// Moves a job to its terminal phase and wakes its waiters. A job
+    /// that is done, or that a client cancelled, is retained; one a
+    /// drain stopped stays in the table unretained, to be counted
+    /// abandoned and re-run on the next start.
+    fn finish(&self, job: &Arc<Job>, phase: JobPhase, rows: Vec<VerdictRow>, recovered: bool) {
+        job.set_phase(phase, rows, recovered);
+        if phase == JobPhase::Done || job.cancel_requested.load(Ordering::Acquire) {
+            self.retain(job);
+        }
+    }
+
+    /// Enters a finished job into the retention FIFO, once, and evicts
+    /// the job that finished first if that puts the FIFO over its bound.
+    fn retain(&self, job: &Arc<Job>) {
+        if job.retained.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let evicted = {
+            let mut table = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            table.finished.push_back(job.id);
+            if table.finished.len() <= RETAINED_JOBS {
+                return;
+            }
+            let oldest = table
+                .finished
+                .pop_front()
+                .expect("the FIFO is over its bound");
+            table.jobs.remove(&oldest)
+        };
+        if let Some(old) = evicted {
+            if let Some(key) = &old.spec.idem {
+                let mut idem = self.idem.lock().unwrap_or_else(|e| e.into_inner());
+                if idem.get(key) == Some(&old.id) {
+                    idem.remove(key);
+                }
+            }
+        }
+    }
+
     fn server_counters(&self) -> ServerCounters {
         let wal = self.wal.stats();
         ServerCounters {
@@ -545,7 +624,7 @@ impl Server {
             cfg,
             wal,
             pool,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             admitted: AtomicU64::new(0),
@@ -647,8 +726,8 @@ impl Server {
         }
         // Phase 2: cancel the stragglers cooperatively.
         if live_runs(&inner) > 0 {
-            let jobs = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            for job in jobs.values() {
+            let table = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            for job in table.jobs.values() {
                 job.raise_stops();
             }
         }
@@ -710,11 +789,13 @@ impl Server {
         }
 
         let abandoned = {
-            let jobs = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            jobs.values()
+            let table = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            table
+                .jobs
+                .values()
                 .filter(|j| {
                     let g = j.state.lock().unwrap_or_else(|e| e.into_inner());
-                    matches!(g.phase, JobPhase::Queued | JobPhase::Running)
+                    !g.phase.finished()
                         || (g.phase == JobPhase::Cancelled
                             && !j.cancel_requested.load(Ordering::Acquire))
                 })
@@ -737,15 +818,16 @@ impl Server {
 /// trusted; `done` with any undecided verdict re-runs (the re-gating
 /// policy); `cancel` sticks. `quarantine`/`unquarantine` records
 /// rebuild the circuit-breaker table (re-armed with a fresh TTL), and
-/// recovered idempotency keys repopulate the dedup map.
+/// recovered idempotency keys repopulate the dedup map. Trusted and
+/// cancelled jobs are retained in job-id order, so the table keeps the
+/// last [`RETAINED_JOBS`] of them, as a daemon that never stopped would.
 fn recover_jobs(inner: &Arc<Inner>, records: &[String], report: &mut RecoveryReport) {
     struct Entry {
         spec: Option<JobSpec>,
         done: Option<Vec<VerdictRow>>,
         cancelled: bool,
     }
-    let mut entries: HashMap<u64, Entry> = HashMap::new();
-    let mut order: Vec<u64> = Vec::new();
+    let mut entries: BTreeMap<u64, Entry> = BTreeMap::new();
     let mut qmap: HashMap<u64, String> = HashMap::new();
     for payload in records {
         let Ok(v) = verdict_journal::json::parse(payload) else {
@@ -782,14 +864,10 @@ fn recover_jobs(inner: &Arc<Inner>, records: &[String], report: &mut RecoveryRep
         let Some(id) = v.get("job").and_then(Json::as_int).filter(|&j| j >= 0) else {
             continue;
         };
-        let id = id as u64;
-        let entry = entries.entry(id).or_insert_with(|| {
-            order.push(id);
-            Entry {
-                spec: None,
-                done: None,
-                cancelled: false,
-            }
+        let entry = entries.entry(id as u64).or_insert(Entry {
+            spec: None,
+            done: None,
+            cancelled: false,
         });
         match v.get("type").and_then(Json::as_str) {
             Some("submit") => {
@@ -811,10 +889,9 @@ fn recover_jobs(inner: &Arc<Inner>, records: &[String], report: &mut RecoveryRep
     }
 
     let mut max_id = 0u64;
-    for id in order {
-        max_id = max_id.max(id);
-        let entry = &entries[&id];
-        let Some(spec) = entry.spec.clone() else {
+    for (id, entry) in entries {
+        max_id = id;
+        let Some(spec) = entry.spec else {
             continue;
         };
         if let Some(key) = spec.idem.clone() {
@@ -825,18 +902,23 @@ fn recover_jobs(inner: &Arc<Inner>, records: &[String], report: &mut RecoveryRep
                 .insert(key, id);
         }
         let job = Job::new(id, spec);
+        inner
+            .jobs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .jobs
+            .insert(id, Arc::clone(&job));
         if entry.cancelled {
-            job.set_phase(JobPhase::Cancelled, Vec::new(), true);
             job.cancel_requested.store(true, Ordering::Release);
             job.finalized.store(true, Ordering::Release);
+            inner.finish(&job, JobPhase::Cancelled, Vec::new(), true);
             report.jobs_cancelled += 1;
         } else if let Some(rows) = entry
             .done
-            .as_ref()
             .filter(|rows| rows.iter().all(VerdictRow::decided))
         {
-            job.set_phase(JobPhase::Done, rows.clone(), true);
             job.finalized.store(true, Ordering::Release);
+            inner.finish(&job, JobPhase::Done, rows, true);
             report.jobs_trusted += 1;
             inner.recovered.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -851,11 +933,6 @@ fn recover_jobs(inner: &Arc<Inner>, records: &[String], report: &mut RecoveryRep
                 .unwrap_or_else(|e| e.into_inner())
                 .push_back(id);
         }
-        inner
-            .jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, job);
     }
     inner.next_job.store(max_id + 1, Ordering::Release);
 
@@ -963,6 +1040,7 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Result<u64, Rejection> {
         .jobs
         .lock()
         .unwrap_or_else(|e| e.into_inner())
+        .jobs
         .insert(id, job);
     inner
         .queue
@@ -988,18 +1066,20 @@ fn validate_spec(spec: &JobSpec) -> Result<(), Rejection> {
 /// jobs flip to `cancelled` immediately; running jobs get there when
 /// the engine observes the flag.
 fn cancel(inner: &Arc<Inner>, id: u64) -> Result<(), Rejection> {
-    let job = {
-        let jobs = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).cloned()
+    let job = match inner.lookup(id) {
+        Ok(job) => job,
+        // An evicted job finished long ago: nothing left to cancel.
+        Err(r) if r.reason == "evicted" => return Ok(()),
+        Err(r) => return Err(r),
     };
-    let Some(job) = job else {
-        return Err(Rejection::new("bad-request").with_detail(format!("no job {id}")));
-    };
+    if job
+        .state
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .phase
+        .finished()
     {
-        let g = job.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(g.phase, JobPhase::Done | JobPhase::Cancelled) {
-            return Ok(());
-        }
+        return Ok(());
     }
     let record = proto::obj(vec![
         ("type", Json::Str("cancel".into())),
@@ -1015,6 +1095,8 @@ fn cancel(inner: &Arc<Inner>, id: u64) -> Result<(), Rejection> {
     if g.phase == JobPhase::Queued {
         g.phase = JobPhase::Cancelled;
         job.cv.notify_all();
+        drop(g);
+        inner.retain(&job);
     }
     Ok(())
 }
@@ -1170,8 +1252,8 @@ fn worker_loop(inner: &Arc<Inner>, slot_idx: usize, my_gen: u64) {
             }
         };
         let job = {
-            let jobs = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            jobs.get(&id).cloned()
+            let table = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            table.jobs.get(&id).cloned()
         };
         let Some(job) = job else { continue };
         // The deadline counts from admission: a job that burned its
@@ -1188,7 +1270,7 @@ fn worker_loop(inner: &Arc<Inner>, slot_idx: usize, my_gen: u64) {
                 }];
                 journal_done(inner, &job, &rows);
                 inner.completed.fetch_add(1, Ordering::Relaxed);
-                job.set_phase(JobPhase::Done, rows, false);
+                inner.finish(&job, JobPhase::Done, rows, false);
                 continue;
             }
         }
@@ -1385,14 +1467,14 @@ fn finalize_rows(
         journal_done(inner, job, &rows);
         inner.completed.fetch_add(1, Ordering::Relaxed);
         quarantine_failure(inner, job.fp, "job hung past its deadline".into());
-        job.set_phase(JobPhase::Done, rows, false);
+        inner.finish(job, JobPhase::Done, rows, false);
         return;
     }
     if was_stopped && any_cancelled {
         // User cancel (its `cancel` record is durable) or a drain
         // casualty (its `submit` record re-runs it on restart): either
         // way, no `done` record.
-        job.set_phase(JobPhase::Cancelled, rows, false);
+        inner.finish(job, JobPhase::Cancelled, rows, false);
         return;
     }
     journal_done(inner, job, &rows);
@@ -1416,7 +1498,7 @@ fn finalize_rows(
         quarantine_success(inner, job.fp);
         record_latency(inner, job.fp, exec.started.elapsed());
     }
-    job.set_phase(JobPhase::Done, rows, false);
+    inner.finish(job, JobPhase::Done, rows, false);
 }
 
 /// Is a non-hedge execution of this job still live?
@@ -1570,7 +1652,7 @@ fn abandon(inner: &Arc<Inner>, exec: &Arc<Execution>) {
     journal_done(inner, job, &rows);
     inner.completed.fetch_add(1, Ordering::Relaxed);
     quarantine_failure(inner, job.fp, "worker hung; thread abandoned".into());
-    job.set_phase(JobPhase::Done, rows, false);
+    inner.finish(job, JobPhase::Done, rows, false);
 }
 
 /// Launches a speculative second run for a healthy-but-slow execution,
@@ -1641,12 +1723,15 @@ fn maybe_hedge(inner: &Arc<Inner>, exec: &Arc<Execution>) {
             retire(&inner2, &hedge);
         })
         .expect("hedge thread spawns");
-    inner
+    let mut hedges = inner
         .sup
         .hedge_handles
         .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(handle);
+        .unwrap_or_else(|e| e.into_inner());
+    // Release the threads of hedges that have exited, as the accept loop
+    // does for connections; the rest are joined at drain.
+    hedges.retain(|h| !h.is_finished());
+    hedges.push(handle);
 }
 
 /// Runs a spec to a verdict-row list through the shared
@@ -1761,33 +1846,14 @@ fn respond(req: &Request, inner: &Arc<Inner>, w: &mut UnixStream) -> io::Result<
             ),
             Err(r) => write_line(w, &r.to_json()),
         },
-        Request::Status { job } => {
-            let found = {
-                let jobs = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                jobs.get(job).cloned()
-            };
-            match found {
-                Some(j) => write_line(w, &status_json(&j)),
-                None => write_line(
-                    w,
-                    &Rejection::new("bad-request")
-                        .with_detail(format!("no job {job}"))
-                        .to_json(),
-                ),
-            }
-        }
+        Request::Status { job } => match inner.lookup(*job) {
+            Ok(j) => write_line(w, &status_json(&j)),
+            Err(r) => write_line(w, &r.to_json()),
+        },
         Request::Wait { job } => {
-            let found = {
-                let jobs = inner.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                jobs.get(job).cloned()
-            };
-            let Some(j) = found else {
-                return write_line(
-                    w,
-                    &Rejection::new("bad-request")
-                        .with_detail(format!("no job {job}"))
-                        .to_json(),
-                );
+            let j = match inner.lookup(*job) {
+                Ok(j) => j,
+                Err(r) => return write_line(w, &r.to_json()),
             };
             // Stream trace events as they land, then the final state.
             // Periodic keepalive lines protect clients running socket
@@ -1798,10 +1864,7 @@ fn respond(req: &Request, inner: &Arc<Inner>, w: &mut UnixStream) -> io::Result<
                 let (pending, finished): (Vec<String>, bool) = {
                     let g = j.state.lock().unwrap_or_else(|e| e.into_inner());
                     let pending = g.events[seen.min(g.events.len())..].to_vec();
-                    (
-                        pending,
-                        matches!(g.phase, JobPhase::Done | JobPhase::Cancelled),
-                    )
+                    (pending, g.phase.finished())
                 };
                 for ev in &pending {
                     seen += 1;
@@ -1828,10 +1891,17 @@ fn respond(req: &Request, inner: &Arc<Inner>, w: &mut UnixStream) -> io::Result<
                     w.write_all(line.as_bytes())?;
                     last_write = Instant::now();
                 }
+                // Decide to wait under the lock that reads the state: an
+                // event or a finish that landed while this handler was
+                // writing has already notified, so waiting on it would
+                // sleep out the whole timeout. The timeout is only for
+                // keepalives and drain.
                 let g = j.state.lock().unwrap_or_else(|e| e.into_inner());
-                let _ =
-                    j.cv.wait_timeout(g, Duration::from_millis(100))
-                        .unwrap_or_else(|e| e.into_inner());
+                if g.events.len() == seen && !g.phase.finished() {
+                    let _ =
+                        j.cv.wait_timeout(g, Duration::from_millis(100))
+                            .unwrap_or_else(|e| e.into_inner());
+                }
             }
         }
         Request::Cancel { job } => match cancel(inner, *job) {

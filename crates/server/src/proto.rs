@@ -129,12 +129,15 @@ impl Request {
     }
 }
 
-/// A structured admission refusal. The daemon never blocks or queues
-/// unboundedly: a submit either returns a job id or one of these.
+/// A structured refusal. The daemon never blocks or queues unboundedly:
+/// a submit either returns a job id or one of these, and a request about
+/// a job it no longer holds gets one too.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rejection {
     /// Machine-readable reason: `queue-full`, `draining`, `parse-error`,
-    /// `bad-request`, `wal-error`, or `quarantined`.
+    /// `bad-request`, `wal-error`, `quarantined`, or `evicted` (a
+    /// `status` or `wait` of a finished job that has left the daemon's
+    /// window of the last [`crate::RETAINED_JOBS`] finished jobs).
     pub reason: String,
     /// Human-readable detail, when there is more to say.
     pub detail: Option<String>,

@@ -2,11 +2,13 @@
 //! crash-recovery semantics — everything short of actually SIGKILLing a
 //! process (the CLI integration test covers that).
 
-use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use verdict_server::{Client, ClientError, JobSpec, Server, ServerConfig};
+use verdict_server::{
+    Client, ClientError, JobSpec, RecoveryReport, Server, ServerConfig, RETAINED_JOBS,
+};
 
 /// A model every engine decides instantly.
 const TINY: &str = "\
@@ -34,27 +36,40 @@ struct TestServer {
     socket: PathBuf,
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     runner: Option<std::thread::JoinHandle<verdict_server::DrainReport>>,
-    _dir: tempdir::TempDir,
+    _dir: Option<tempdir::TempDir>,
 }
 
 impl TestServer {
     /// Starts a daemon on fresh socket/WAL paths inside a tempdir.
     fn start(configure: impl FnOnce(&mut ServerConfig)) -> TestServer {
         let dir = tempdir::TempDir::new();
-        let socket = dir.path.join("verdict.sock");
-        let mut cfg = ServerConfig::new(&socket, dir.path.join("wal"));
+        let (mut server, _recovery) = TestServer::open(&dir.path, "verdict.sock", configure);
+        server._dir = Some(dir);
+        server
+    }
+
+    /// Starts a daemon on socket `socket` in `dir`, over the WAL in
+    /// `dir/wal` that an earlier daemon may have left.
+    fn open(
+        dir: &Path,
+        socket: &str,
+        configure: impl FnOnce(&mut ServerConfig),
+    ) -> (TestServer, RecoveryReport) {
+        let socket = dir.join(socket);
+        let mut cfg = ServerConfig::new(&socket, dir.join("wal"));
         cfg.workers = 1;
         cfg.grace = Duration::from_secs(2);
         configure(&mut cfg);
-        let (server, _recovery) = Server::open(cfg).expect("server opens");
+        let (server, recovery) = Server::open(cfg).expect("server opens");
         let stop = server.stop_flag();
         let runner = std::thread::spawn(move || server.run().expect("server runs"));
-        TestServer {
+        let server = TestServer {
             socket,
             stop,
             runner: Some(runner),
-            _dir: dir,
-        }
+            _dir: None,
+        };
+        (server, recovery)
     }
 
     fn client(&self) -> Client {
@@ -437,6 +452,80 @@ fn wait_wakes_for_a_job_that_finished_while_the_handler_was_writing() {
         at + 1,
         stamps.len() - 1
     );
+    server.finish();
+}
+
+/// The reason of a rejected request.
+fn rejection<T: std::fmt::Debug>(r: Result<T, ClientError>) -> String {
+    match r {
+        Err(ClientError::Rejected(rej)) => rej.reason,
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn finished_jobs_past_the_retention_bound_are_evicted_across_a_restart() {
+    let dir = tempdir::TempDir::new();
+    let configure = |cfg: &mut ServerConfig| cfg.queue_capacity = 2048;
+    let (server, _) = TestServer::open(&dir.path, "a.sock", configure);
+    let mut client = server.client();
+
+    // The oldest job carries an idempotency key and finishes first.
+    let mut keyed = JobSpec::check(TINY);
+    keyed.idem = Some("retention-oldest".into());
+    let oldest = client.submit(&keyed).expect("submit");
+    assert_eq!(client.wait(oldest, |_| {}).expect("wait").state, "done");
+    // The rest come from four clients, each waiting for its job before
+    // it submits the next, so no client waits for an evicted job.
+    let left = AtomicUsize::new(RETAINED_JOBS + 7);
+    let newest = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = server.client();
+                    let mut newest = 0;
+                    while left
+                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                        .is_ok()
+                    {
+                        let job = client.submit(&JobSpec::check(TINY)).expect("submit");
+                        assert_eq!(client.wait(job, |_| {}).expect("wait").state, "done");
+                        newest = newest.max(job);
+                    }
+                    newest
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .max()
+            .unwrap()
+    });
+    assert_eq!(newest, oldest + RETAINED_JOBS as u64 + 7);
+
+    assert_eq!(rejection(client.status(oldest)), "evicted");
+    assert_eq!(rejection(client.wait(oldest, |_| {})), "evicted");
+    assert_eq!(client.status(newest).expect("status").state, "done");
+    client
+        .cancel(oldest)
+        .expect("cancelling an evicted job is a no-op");
+    assert_eq!(rejection(client.status(newest + 1000)), "bad-request");
+    // The evicted job's key left the dedup map with it.
+    let again = client.submit(&keyed).expect("resubmit");
+    assert!(again > newest, "the key still named job {again}");
+    assert_eq!(client.wait(again, |_| {}).expect("wait").state, "done");
+    server.finish();
+
+    // A restart on the same WAL trusts every job and retains the same
+    // window.
+    let (server, recovery) = TestServer::open(&dir.path, "b.sock", configure);
+    assert_eq!(recovery.jobs_trusted, RETAINED_JOBS as u64 + 9);
+    let mut client = server.client();
+    let status = client.status(newest).expect("status");
+    assert_eq!(status.state, "done");
+    assert!(status.recovered);
+    assert_eq!(rejection(client.status(oldest)), "evicted");
     server.finish();
 }
 

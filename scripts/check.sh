@@ -277,6 +277,10 @@ if ! grep -q "drained clean" "$srv_dir/serve2.log"; then
     cat "$srv_dir/serve2.log" >&2
     exit 1
 fi
+# The daemon benchmark asserts that group commit amortizes fsyncs at 4
+# submitters and that every job it waits on ends `done`; it fails (exit
+# 101) otherwise.
+./target/release/server --out "$tmp_root/bench_server.json" >/dev/null
 
 # Self-healing chaos lane: a daemon with injected worker panics and a
 # worker hang must (a) contain each panic into an honest engine-failure
