@@ -1728,9 +1728,11 @@ fn maybe_hedge(inner: &Arc<Inner>, exec: &Arc<Execution>) {
         .hedge_handles
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    // Release the threads of hedges that have exited, as the accept loop
-    // does for connections; the rest are joined at drain.
-    hedges.retain(|h| !h.is_finished());
+    // Join the hedges that have exited now, so their threads are released
+    // while the daemon runs; the rest are joined at drain.
+    for h in hedges.extract_if(.., |h| h.is_finished()) {
+        let _ = h.join();
+    }
     hedges.push(handle);
 }
 
