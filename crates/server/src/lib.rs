@@ -477,7 +477,7 @@ impl Inner {
         }
         if (1..self.next_job.load(Ordering::Acquire)).contains(&id) {
             Err(Rejection::new("evicted").with_detail(format!(
-                "job {id} finished before the last {RETAINED_JOBS} finished jobs, which are all the daemon keeps"
+                "job {id} is no longer held: the daemon keeps the last {RETAINED_JOBS} finished jobs"
             )))
         } else {
             Err(Rejection::new("bad-request").with_detail(format!("no job {id}")))
